@@ -246,13 +246,14 @@ def solve_implicit(system: LinearSystem, tol, max_iter=500):
     if tol <= 0.0:
         raise ValueError("tol must be positive")
     b = system.b
-    x = spla.splu(system.A.tocsc()).solve(b)
+    lu = spla.splu(system.A.tocsc())
+    x = lu.solve(b)
     bnorm = np.linalg.norm(b)
     res = np.linalg.norm(system.A @ x - b)
     if res > tol * max(bnorm, 1e-300):
-        # One pass of iterative refinement before giving up.
+        # Up to two passes of iterative refinement before giving up.
         for _ in range(2):
-            x = x + spla.splu(system.A.tocsc()).solve(b - system.A @ x)
+            x = x + lu.solve(b - system.A @ x)
             res = np.linalg.norm(system.A @ x - b)
             if res <= tol * max(bnorm, 1e-300):
                 break

@@ -9,21 +9,10 @@ bracket) stays at roundoff level.
 """
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from .fields import Params, sound_speed
-
-
-class FaceState(NamedTuple):
-    """One side of a face: depth, velocity (2-vector), relaxed pressure,
-    bottom elevation."""
-
-    h: float
-    u: np.ndarray
-    pi: float
-    z: float
 
 
 @dataclass
@@ -91,32 +80,6 @@ def interface_pressures(pi_L, pi_R, u_nL, u_nR, a, theta, src):
     owner sees pi_c + src/2, neighbor sees pi_c - src/2."""
     pi_c = (pi_L + pi_R) / 2.0 - theta * a * (u_nR - u_nL) / 2.0
     return pi_c + src / 2.0, pi_c - src / 2.0
-
-
-def face_flux(left: FaceState, right: FaceState,
-              left_n: FaceState, right_n: FaceState,
-              normal, p: Params) -> FaceFlux:
-    """Full single-face evaluation in the frame of ``normal``.
-
-    ``left``/``right`` are the states at the flux level (time n for the
-    explicit scheme); ``left_n``/``right_n`` are the time-n states used for
-    the impedance, the hydrostatic source bracket and the theta estimate.
-    Only the normal velocity component enters any kernel.
-    """
-    normal = np.asarray(normal, dtype=float)
-    u_nL = float(np.dot(left.u, normal))
-    u_nR = float(np.dot(right.u, normal))
-    a = impedance(left_n.h, right_n.h, p)
-    src = hydrostatic_source(left_n.h, right_n.h, left_n.z, right_n.z, p.g)
-    u_nL_n = float(np.dot(left_n.u, normal))
-    u_nR_n = float(np.dot(right_n.u, normal))
-    u_star_n = interface_velocity(u_nL_n, u_nR_n, left_n.pi, right_n.pi, a, src)
-    theta = theta_policy(u_star_n, left_n.h, right_n.h, p)
-    u_star = interface_velocity(u_nL, u_nR, left.pi, right.pi, a, src)
-    pi_L, pi_R = interface_pressures(left.pi, right.pi, u_nL, u_nR,
-                                     a, theta, src)
-    return FaceFlux(u_star=u_star, pi_star_L=pi_L, pi_star_R=pi_R,
-                    a=a, theta=theta)
 
 
 def evaluate_face_fluxes(mesh, u, pi, h_n, z, p: Params,

@@ -138,13 +138,12 @@ def write_vtk(conserved, topo, mesh, p: Params, path) -> None:
         fh.write(f"POINTS {len(mesh.vertices)} double\n")
         for x, y in mesh.vertices:
             fh.write(f"{_FMT % x} {_FMT % y} 0\n")
-        size = sum(len(cv) + 1 for cv in mesh.cell_vertices)
-        fh.write(f"CELLS {n} {size}\n")
-        for cv in mesh.cell_vertices:
+        fh.write(f"CELLS {n} {len(mesh.cell_vertex_ids) + n}\n")
+        for cv in np.split(mesh.cell_vertex_ids, mesh.cell_offsets[1:-1]):
             fh.write(str(len(cv)) + " " + " ".join(map(str, cv)) + "\n")
         fh.write(f"CELL_TYPES {n}\n")
-        for cv in mesh.cell_vertices:
-            fh.write(f"{_VTK_CELL_TYPES.get(len(cv), 7)}\n")
+        for k in np.diff(mesh.cell_offsets):
+            fh.write(f"{_VTK_CELL_TYPES.get(k, 7)}\n")
         fh.write(f"CELL_DATA {n}\n")
         for name, arr in (("h", h), ("z", z), ("H", h + z),
                           ("Froude", froude)):

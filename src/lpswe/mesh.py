@@ -9,7 +9,6 @@ flux kernels never special-case the boundary.
 """
 
 from dataclasses import dataclass, field
-from typing import List
 
 import numpy as np
 
@@ -29,7 +28,9 @@ class Mesh:
     """
 
     vertices: np.ndarray            # (nv, 2)
-    cell_vertices: List[np.ndarray]  # per interior cell, ccw vertex ids
+    cell_offsets: np.ndarray        # (n_cells + 1,) CSR row starts
+    cell_vertex_ids: np.ndarray     # ccw vertex ids of cell j at
+                                    # cell_offsets[j]:cell_offsets[j + 1]
     area: np.ndarray                # (n_cells,)
     centroid: np.ndarray            # (n_cells, 2)
     face_owner: np.ndarray          # (nf,)
@@ -37,7 +38,6 @@ class Mesh:
     face_normal: np.ndarray         # (nf, 2), unit, owner -> neighbor
     face_length: np.ndarray         # (nf,)
     face_midpoint: np.ndarray       # (nf, 2)
-    cell_faces: List[np.ndarray]    # per interior cell, incident face ids
     boundary_faces: np.ndarray      # (n_ghost,) face ids, ghost i sits behind
                                     # boundary_faces[i]
     bbox: np.ndarray = field(default=None)  # (xmin, xmax, ymin, ymax)
@@ -58,21 +58,6 @@ class Mesh:
     def n_faces(self) -> int:
         return len(self.face_length)
 
-    @property
-    def interior_faces(self) -> np.ndarray:
-        return np.nonzero(self.face_neighbor < self.n_cells)[0]
-
-    def sigma(self, j: int, f: int) -> float:
-        """Geometric ratio |face length| / |cell area| for cell j and face f.
-
-        The face must be incident to cell j (as owner or interior neighbor).
-        """
-        if j < 0 or j >= self.n_cells:
-            raise ValueError(f"cell index {j} out of range")
-        if self.face_owner[f] != j and self.face_neighbor[f] != j:
-            raise ValueError(f"face {f} is not incident to cell {j}")
-        return float(self.face_length[f] / self.area[j])
-
     def boundary_sides(self) -> np.ndarray:
         """Classify each boundary face as LEFT/RIGHT/BOTTOM/TOP.
 
@@ -90,58 +75,93 @@ class Mesh:
         return np.argmin(d, axis=0)
 
 
-def _polygon_area_centroid(pts: np.ndarray):
-    x, y = pts[:, 0], pts[:, 1]
-    xn, yn = np.roll(x, -1), np.roll(y, -1)
+def _cell_geometry(vertices, offsets, ids, cell, nxt):
+    """Areas and centroids of the CSR cells of :func:`_mesh_from_cells`;
+    raises MeshFormatError for a cell that is not ccw or not convex."""
+    n_cells = len(offsets) - 1
+    sizes = np.diff(offsets)
+    # Shoelace sums, reduced per polygon size so that every cell sums its
+    # terms in the same order as a sum over that cell alone.
+    x, y = vertices[ids, 0], vertices[ids, 1]
+    xn, yn = x[nxt], y[nxt]
     cross = x * yn - xn * y
-    area = 0.5 * cross.sum()
-    if area <= 0.0:
-        raise MeshFormatError("cell with non-positive area (vertices must be ccw)")
-    cx = ((x + xn) * cross).sum() / (6.0 * area)
-    cy = ((y + yn) * cross).sum() / (6.0 * area)
-    return area, np.array([cx, cy])
+    terms = np.stack([cross, (x + xn) * cross, (y + yn) * cross])
+    sums = np.empty((3, n_cells))
+    for k in np.unique(sizes):
+        sel = np.nonzero(sizes == k)[0]
+        corners = (offsets[sel, None] + np.arange(k)).ravel()
+        sums[:, sel] = terms[:, corners].reshape(3, -1, k).sum(axis=2)
+    areas = 0.5 * sums[0]
+    if np.any(areas <= 0.0):
+        j = int(np.argmax(areas <= 0.0))
+        raise MeshFormatError(
+            f"cell {j} has non-positive area (vertices must be ccw)")
+    centroids = np.stack([sums[1] / (6.0 * areas),
+                          sums[2] / (6.0 * areas)], axis=1)
+
+    # Convexity: the turn from edge c to edge nxt[c] is to the left, up to
+    # roundoff relative to the two edge lengths (collinear vertices pass),
+    # and the turns add up to one revolution (a star polygon makes two).
+    ex, ey = xn - x, yn - y
+    turn = ex * ey[nxt] - ey * ex[nxt]
+    slack = 1e-12 * np.hypot(ex, ey) * np.hypot(ex[nxt], ey[nxt])
+    if np.any(turn < -slack):
+        c = int(np.argmax(turn < -slack))
+        raise MeshFormatError(
+            f"cell {cell[c]} is not convex (reflex vertex {ids[nxt[c]]})")
+    angle = np.arctan2(turn, ex * ex[nxt] + ey * ey[nxt])
+    revolutions = np.bincount(cell, angle, n_cells) / (2.0 * np.pi)
+    if np.any(revolutions > 1.5):
+        j = int(np.argmax(revolutions > 1.5))
+        raise MeshFormatError(
+            f"cell {j} is not convex (its boundary winds around twice)")
+    return areas, centroids
 
 
-def _mesh_from_polygons(vertices: np.ndarray, cells: List[np.ndarray]) -> Mesh:
-    """Assemble the face-based connectivity from ccw polygon cells."""
+def _mesh_from_cells(vertices, offsets, vertex_ids) -> Mesh:
+    """Assemble the face-based connectivity from ccw convex polygon cells
+    stored as CSR: cell j has vertex ids
+    ``vertex_ids[offsets[j]:offsets[j + 1]]``.
+
+    Faces are numbered in order of first appearance in the cell list; the
+    owner is the cell listing the edge first, the neighbor the one listing
+    it second.
+    """
     vertices = np.asarray(vertices, dtype=float)
-    n_cells = len(cells)
+    offsets = np.asarray(offsets, dtype=np.intp)
+    ids = np.asarray(vertex_ids, dtype=np.intp)
+    n_cells = len(offsets) - 1
+    sizes = np.diff(offsets)
+    if np.any(sizes < 3):
+        j = int(np.argmax(sizes < 3))
+        raise MeshFormatError(f"cell {j} has fewer than 3 vertices")
 
-    areas = np.empty(n_cells)
-    centroids = np.empty((n_cells, 2))
-    for j, cv in enumerate(cells):
-        if len(cv) < 3:
-            raise MeshFormatError(f"cell {j} has fewer than 3 vertices")
-        areas[j], centroids[j] = _polygon_area_centroid(vertices[cv])
+    # Corner c of a cell runs from vertex ids[c] to ids[nxt[c]].
+    cell = np.repeat(np.arange(n_cells), sizes)
+    nxt = np.arange(1, len(ids) + 1)
+    nxt[offsets[1:] - 1] = offsets[:-1]
 
-    edge_face = {}       # sorted vertex pair -> face id
-    owner, neighbor = [], []
-    v0s, v1s = [], []
-    cell_faces = [[] for _ in range(n_cells)]
-    for j, cv in enumerate(cells):
-        for a, b in zip(cv, np.roll(cv, -1)):
-            key = (a, b) if a < b else (b, a)
-            f = edge_face.get(key)
-            if f is None:
-                f = len(owner)
-                edge_face[key] = f
-                owner.append(j)
-                neighbor.append(-1)
-                v0s.append(a)
-                v1s.append(b)
-            else:
-                if neighbor[f] != -1:
-                    raise MeshFormatError(
-                        f"face {key} shared by more than two cells")
-                if owner[f] == j:
-                    raise MeshFormatError(f"cell {j} repeats face {key}")
-                neighbor[f] = j
-            cell_faces[j].append(f)
+    areas, centroids = _cell_geometry(vertices, offsets, ids, cell, nxt)
 
-    owner = np.array(owner, dtype=np.intp)
-    neighbor = np.array(neighbor, dtype=np.intp)
-    v0s = np.array(v0s, dtype=np.intp)
-    v1s = np.array(v1s, dtype=np.intp)
+    # One face per undirected edge, keyed by min * nv + max.
+    a, b = ids, ids[nxt]
+    key = np.minimum(a, b) * len(vertices) + np.maximum(a, b)
+    _, first, inverse, counts = np.unique(
+        key, return_index=True, return_inverse=True, return_counts=True)
+    if np.any(counts > 2):
+        c = first[np.argmax(counts > 2)]
+        raise MeshFormatError(
+            f"face ({a[c]}, {b[c]}) shared by more than two cells")
+    last = np.argsort(inverse, kind="stable")[np.cumsum(counts) - 1]
+    repeated = (counts == 2) & (cell[first] == cell[last])
+    if np.any(repeated):
+        c = first[np.argmax(repeated)]
+        raise MeshFormatError(f"cell {cell[c]} repeats face ({a[c]}, {b[c]})")
+    order = np.argsort(first)
+    first, last, counts = first[order], last[order], counts[order]
+    owner = cell[first]
+    neighbor = np.where(counts == 2, cell[last], -1)
+    v0s, v1s = a[first], b[first]
 
     p0, p1 = vertices[v0s], vertices[v1s]
     edge = p1 - p0
@@ -155,7 +175,6 @@ def _mesh_from_polygons(vertices: np.ndarray, cells: List[np.ndarray]) -> Mesh:
 
     bmask = neighbor < 0
     boundary_faces = np.nonzero(bmask)[0]
-    neighbor = neighbor.copy()
     neighbor[bmask] = n_cells + np.arange(bmask.sum())
 
     bbox = np.array([vertices[:, 0].min(), vertices[:, 0].max(),
@@ -163,7 +182,8 @@ def _mesh_from_polygons(vertices: np.ndarray, cells: List[np.ndarray]) -> Mesh:
 
     mesh = Mesh(
         vertices=vertices,
-        cell_vertices=[np.asarray(cv, dtype=np.intp) for cv in cells],
+        cell_offsets=offsets,
+        cell_vertex_ids=ids,
         area=areas,
         centroid=centroids,
         face_owner=owner,
@@ -171,7 +191,6 @@ def _mesh_from_polygons(vertices: np.ndarray, cells: List[np.ndarray]) -> Mesh:
         face_normal=normal,
         face_length=length,
         face_midpoint=midpoint,
-        cell_faces=[np.array(cf, dtype=np.intp) for cf in cell_faces],
         boundary_faces=boundary_faces,
         bbox=bbox,
     )
@@ -200,6 +219,8 @@ def validate_mesh(mesh: Mesh) -> None:
 
 
 def _grid_vertices(nx, ny, domain):
+    """Grid vertices and the lower-left vertex id of each grid cell, with
+    cells numbered row by row from the bottom."""
     xmin, xmax, ymin, ymax = domain
     if nx < 1 or ny < 1:
         raise ValueError("nx and ny must be >= 1")
@@ -209,37 +230,26 @@ def _grid_vertices(nx, ny, domain):
     ys = np.linspace(ymin, ymax, ny + 1)
     X, Y = np.meshgrid(xs, ys, indexing="xy")
     verts = np.stack([X.ravel(), Y.ravel()], axis=1)
-
-    def vid(i, j):
-        return j * (nx + 1) + i
-
-    return verts, vid
+    j, i = np.divmod(np.arange(nx * ny, dtype=np.intp), nx)
+    return verts, j * (nx + 1) + i
 
 
 def build_cartesian(nx: int, ny: int, domain=(0.0, 1.0, 0.0, 1.0)) -> Mesh:
     """Regular nx-by-ny quadrilateral mesh of an axis-aligned rectangle."""
-    verts, vid = _grid_vertices(nx, ny, domain)
-    cells = []
-    for j in range(ny):
-        for i in range(nx):
-            cells.append(np.array(
-                [vid(i, j), vid(i + 1, j), vid(i + 1, j + 1), vid(i, j + 1)],
-                dtype=np.intp))
-    return _mesh_from_polygons(verts, cells)
+    verts, ll = _grid_vertices(nx, ny, domain)
+    quads = np.stack([ll, ll + 1, ll + nx + 2, ll + nx + 1], axis=1)
+    return _mesh_from_cells(verts, np.arange(0, quads.size + 1, 4),
+                            quads.ravel())
 
 
 def build_triangulated(nx: int, ny: int, domain=(0.0, 1.0, 0.0, 1.0)) -> Mesh:
     """Triangular mesh: each cell of the nx-by-ny grid split along one
     fixed diagonal, giving 2*nx*ny triangles."""
-    verts, vid = _grid_vertices(nx, ny, domain)
-    cells = []
-    for j in range(ny):
-        for i in range(nx):
-            a, b = vid(i, j), vid(i + 1, j)
-            c, d = vid(i + 1, j + 1), vid(i, j + 1)
-            cells.append(np.array([a, b, c], dtype=np.intp))
-            cells.append(np.array([a, c, d], dtype=np.intp))
-    return _mesh_from_polygons(verts, cells)
+    verts, ll = _grid_vertices(nx, ny, domain)
+    a, b, c, d = ll, ll + 1, ll + nx + 2, ll + nx + 1
+    tris = np.stack([a, b, c, a, c, d], axis=1)
+    return _mesh_from_cells(verts, np.arange(0, tris.size + 1, 3),
+                            tris.ravel())
 
 
 def read_mesh(path) -> Mesh:
@@ -283,7 +293,7 @@ def read_mesh(path) -> Mesh:
         raise MeshFormatError(f"{path}: implausible counts {nv} {nc}")
     coords = take(2 * nv, "vertex coordinate", float)
     verts = np.array(coords, dtype=float).reshape(nv, 2)
-    cells = []
+    sizes, cell_ids = [], []
     for j in range(nc):
         (k,) = take(1, "cell size", int)
         if k < 3:
@@ -291,11 +301,13 @@ def read_mesh(path) -> Mesh:
         ids = take(k, "cell vertex id", int)
         if any(v < 0 or v >= nv for v in ids):
             raise MeshFormatError(f"{path}: cell {j} has out-of-range vertex")
-        cells.append(np.array(ids, dtype=np.intp))
+        sizes.append(k)
+        cell_ids.extend(ids)
     if pos != len(tokens):
         lineno, tok = tokens[pos]
         raise MeshFormatError(f"{path}:{lineno}: trailing token {tok!r}")
-    return _mesh_from_polygons(verts, cells)
+    return _mesh_from_cells(verts, np.concatenate([[0], np.cumsum(sizes)]),
+                            cell_ids)
 
 
 def write_mesh(mesh: Mesh, path) -> None:
@@ -305,5 +317,5 @@ def write_mesh(mesh: Mesh, path) -> None:
         fh.write(f"{len(mesh.vertices)} {mesh.n_cells}\n")
         for x, y in mesh.vertices:
             fh.write(f"{x:.17g} {y:.17g}\n")
-        for cv in mesh.cell_vertices:
+        for cv in np.split(mesh.cell_vertex_ids, mesh.cell_offsets[1:-1]):
             fh.write(str(len(cv)) + " " + " ".join(str(v) for v in cv) + "\n")

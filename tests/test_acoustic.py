@@ -6,7 +6,7 @@ from lpswe.acoustic import (acoustic_cfl_fraction, assemble_implicit,
                             explicit_acoustic, implicit_acoustic,
                             solve_implicit)
 from lpswe.driver import BoundaryCondition, apply_bc, prepare_state
-from lpswe.exceptions import CFLError, PositivityError
+from lpswe.exceptions import CFLError, PositivityError, SolverError
 from lpswe.fields import ConservedField, Params, Topography, to_relaxed
 from lpswe.flux_kernels import evaluate_face_fluxes
 from lpswe.scenarios import bump_topography, dam_break
@@ -131,6 +131,15 @@ def test_solver_rejects_bad_tol():
     system = assemble_implicit(r, mesh, state.topo, p, 0.01, state.donor)
     with pytest.raises(ValueError):
         solve_implicit(system, tol=0.0)
+
+
+def test_solver_error_carries_residual():
+    p, mesh, state, r = _setup(scheme="IMEX")
+    system = assemble_implicit(r, mesh, state.topo, p, 0.01, state.donor)
+    with pytest.raises(SolverError) as exc:
+        solve_implicit(system, tol=1e-300)
+    assert exc.value.residual > 1e-300 * np.linalg.norm(system.b)
+    assert "missed tolerance" in str(exc.value)
 
 
 def test_implicit_large_dt_stable():

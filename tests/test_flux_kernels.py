@@ -2,9 +2,20 @@ import numpy as np
 import pytest
 
 from lpswe.fields import Params
-from lpswe.flux_kernels import (FaceState, face_flux, hydrostatic_source,
+from lpswe.flux_kernels import (evaluate_face_fluxes, hydrostatic_source,
                                 impedance, interface_pressures,
                                 interface_velocity, theta_policy)
+from lpswe.mesh import _mesh_from_cells
+
+
+def _two_cell_mesh(ang):
+    """Two unit squares side by side, rotated by ``ang`` about the origin."""
+    verts = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0],
+                      [0.0, 1.0], [1.0, 1.0], [2.0, 1.0]])
+    R = np.array([[np.cos(ang), -np.sin(ang)],
+                  [np.sin(ang), np.cos(ang)]])
+    return _mesh_from_cells(verts @ R.T, [0, 4, 8],
+                            [0, 1, 4, 3, 1, 2, 5, 4]), R
 
 
 def test_impedance_hand_value():
@@ -88,37 +99,36 @@ def test_interface_pressures_jump_dissipation():
 
 
 def test_face_flux_rotational_invariance():
-    # evaluating in a rotated frame with rotated velocities gives identical
-    # interface quantities
+    # the same cell states on a rotated mesh, with rotated velocities, give
+    # identical interface quantities on every face
     p = Params()
     rng = np.random.default_rng(11)
+    m0, _ = _two_cell_mesh(0.0)
+    n = m0.n_total
     for _ in range(20):
-        ang = rng.uniform(0, 2 * np.pi)
-        n0 = np.array([1.0, 0.0])
-        R = np.array([[np.cos(ang), -np.sin(ang)],
-                      [np.sin(ang), np.cos(ang)]])
-        uL = rng.normal(size=2)
-        uR = rng.normal(size=2)
-        hL, hR = rng.uniform(0.5, 2.0, 2)
-        piL, piR = rng.uniform(1.0, 5.0, 2)
-        zL, zR = rng.uniform(0.0, 0.3, 2)
-        sL = FaceState(hL, uL, piL, zL)
-        sR = FaceState(hR, uR, piR, zR)
-        f0 = face_flux(sL, sR, sL, sR, n0, p)
-        sLr = FaceState(hL, R @ uL, piL, zL)
-        sRr = FaceState(hR, R @ uR, piR, zR)
-        fr = face_flux(sLr, sRr, sLr, sRr, R @ n0, p)
-        assert f0.u_star == pytest.approx(fr.u_star, abs=1e-13)
-        assert f0.pi_star_L == pytest.approx(fr.pi_star_L, abs=1e-12)
-        assert f0.pi_star_R == pytest.approx(fr.pi_star_R, abs=1e-12)
+        mr, R = _two_cell_mesh(rng.uniform(0, 2 * np.pi))
+        assert np.allclose(mr.face_normal, m0.face_normal @ R.T, atol=1e-15)
+        u = rng.normal(size=(n, 2))
+        h = rng.uniform(0.5, 2.0, n)
+        pi = rng.uniform(1.0, 5.0, n)
+        z = rng.uniform(0.0, 0.3, n)
+        f0 = evaluate_face_fluxes(m0, u, pi, h, z, p)
+        fr = evaluate_face_fluxes(mr, u @ R.T, pi, h, z, p)
+        assert np.allclose(f0.u_star, fr.u_star, rtol=0, atol=1e-13)
+        assert np.allclose(f0.pi_star_L, fr.pi_star_L, rtol=0, atol=1e-12)
+        assert np.allclose(f0.pi_star_R, fr.pi_star_R, rtol=0, atol=1e-12)
 
 
 def test_face_flux_galilean_consistency_at_rest():
     # equal states, no topography jump: u_star is the common normal speed
     # and the interface pressures equal the common pressure
     p = Params()
-    s = FaceState(2.0, np.array([0.7, -0.2]), 19.62, 0.1)
-    f = face_flux(s, s, s, s, np.array([0.0, 1.0]), p)
-    assert f.u_star == pytest.approx(-0.2)
-    assert f.pi_star_L == pytest.approx(19.62)
-    assert f.pi_star_R == pytest.approx(19.62)
+    m, _ = _two_cell_mesh(0.3)
+    n = m.n_total
+    u = np.tile([0.7, -0.2], (n, 1))
+    f = evaluate_face_fluxes(m, u, np.full(n, 19.62), np.full(n, 2.0),
+                             np.full(n, 0.1), p)
+    assert np.allclose(f.u_star, m.face_normal @ [0.7, -0.2],
+                       rtol=0, atol=1e-15)
+    assert np.allclose(f.pi_star_L, 19.62, rtol=1e-15)
+    assert np.allclose(f.pi_star_R, 19.62, rtol=1e-15)

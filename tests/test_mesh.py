@@ -43,23 +43,17 @@ def test_face_closure_identity():
 
 def test_sigma_right_triangle():
     # Unit-square split: each right triangle with legs 1 has area 1/2,
-    # hypotenuse sqrt(2), so sigma at the hypotenuse is 2*sqrt(2).
+    # hypotenuse sqrt(2), so sigma = length / area at the hypotenuse is
+    # 2*sqrt(2) seen from either side.
     m = meshmod.build_triangulated(1, 1)
-    interior = m.interior_faces
+    interior = np.nonzero(m.face_neighbor < m.n_cells)[0]
     assert len(interior) == 1
     f = interior[0]
-    assert m.sigma(int(m.face_owner[f]), int(f)) == pytest.approx(
-        2.0 * np.sqrt(2.0), rel=1e-14)
-
-
-def test_sigma_rejects_non_incident_face():
-    m = meshmod.build_cartesian(3, 1)
-    # face of cell 2 asked from cell 0
-    f = m.cell_faces[2][0]
-    if m.face_owner[f] == 0 or m.face_neighbor[f] == 0:
-        f = m.cell_faces[2][1]
-    with pytest.raises(ValueError):
-        m.sigma(0, int(f))
+    assert m.face_length[f] == pytest.approx(np.sqrt(2.0), rel=1e-14)
+    assert np.array_equal(m.area, [0.5, 0.5])
+    for cell in (m.face_owner[f], m.face_neighbor[f]):
+        assert m.face_length[f] / m.area[cell] == pytest.approx(
+            2.0 * np.sqrt(2.0), rel=1e-14)
 
 
 def test_boundary_sides_classification():
@@ -81,17 +75,29 @@ def test_ghost_indices_follow_boundary_faces():
 def test_cw_cell_rejected():
     verts = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0]])
     with pytest.raises(MeshFormatError):
-        meshmod._mesh_from_polygons(verts, [np.array([0, 2, 1])])
+        meshmod._mesh_from_cells(verts, [0, 3], [0, 2, 1])
 
 
 def test_duplicate_face_rejected():
     verts = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0],
-                      [2.0, 0.0]])
-    cells = [np.array([0, 1, 2, 3]),
-             np.array([1, 4, 2]),
-             np.array([1, 2, 4])]  # reuses edge (1,2) a third time
-    with pytest.raises(MeshFormatError):
-        meshmod._mesh_from_polygons(verts, cells)
+                      [2.0, 0.0], [2.0, 1.0]])
+    # the third (ccw) cell reuses edge (1,2) a third time
+    with pytest.raises(MeshFormatError, match="more than two"):
+        meshmod._mesh_from_cells(verts, [0, 4, 7, 10],
+                                 [0, 1, 2, 3, 1, 4, 2, 1, 5, 2])
+
+
+@pytest.mark.parametrize("text", [
+    # arrow-shaped ccw quad with a reflex vertex at (1, 1)
+    "4 1\n0 0\n2 1\n0 2\n1 1\n4 0 1 2 3\n",
+    # five-pointed star: every turn is to the left, but twice around
+    "5 1\n0 3\n-3 1\n-2 -3\n2 -3\n3 1\n5 0 2 4 1 3\n",
+], ids=["arrow", "star"])
+def test_non_convex_cell_rejected(tmp_path, text):
+    path = tmp_path / "cell.swmesh"
+    path.write_text("SWMESH 1\n" + text)
+    with pytest.raises(MeshFormatError, match="cell 0 is not convex"):
+        meshmod.read_mesh(path)
 
 
 def test_mesh_roundtrip(tmp_path):
@@ -103,6 +109,8 @@ def test_mesh_roundtrip(tmp_path):
     assert np.allclose(m2.vertices, m.vertices)
     assert np.allclose(m2.area, m.area)
     assert np.allclose(m2.face_normal, m.face_normal)
+    assert np.array_equal(m2.cell_offsets, m.cell_offsets)
+    assert np.array_equal(m2.cell_vertex_ids, m.cell_vertex_ids)
 
 
 def test_read_mesh_reports_line_numbers(tmp_path):
