@@ -22,9 +22,9 @@ from .transport import combined_update, transport_cfl_fraction
 class BoundaryCondition:
     """Boundary kinds per rectangle side.
 
-    neumann and absorbing are both zero-gradient ghost copies; periodic
-    pairs each boundary face with the face across the domain (both sides of
-    the axis must be periodic).
+    neumann is a zero-gradient ghost copy, and absorbing is accepted as an
+    alias for it; periodic pairs each boundary face with the face across
+    the domain (both sides of the axis must be periodic).
     """
 
     left: str = "neumann"
@@ -32,19 +32,22 @@ class BoundaryCondition:
     bottom: str = "neumann"
     top: str = "neumann"
 
-    _KINDS = ("neumann", "absorbing", "periodic")
+    _KINDS = ("neumann", "periodic")
 
     def __post_init__(self):
-        for side in (self.left, self.right, self.bottom, self.top):
-            if side not in self._KINDS:
-                raise ConfigError(f"unknown boundary kind {side!r}")
+        for side in ("left", "right", "bottom", "top"):
+            kind = getattr(self, side)
+            kind = "neumann" if kind == "absorbing" else kind
+            if kind not in self._KINDS:
+                raise ConfigError(f"unknown boundary kind {kind!r}")
+            setattr(self, side, kind)
         if (self.left == "periodic") != (self.right == "periodic"):
             raise ConfigError("periodic-x requires both left and right")
         if (self.bottom == "periodic") != (self.top == "periodic"):
             raise ConfigError("periodic-y requires both bottom and top")
 
     @classmethod
-    def periodic_x(cls, y_kind="absorbing"):
+    def periodic_x(cls, y_kind="neumann"):
         return cls(left="periodic", right="periodic",
                    bottom=y_kind, top=y_kind)
 
@@ -276,7 +279,9 @@ def run(mesh, topo: Topography, initial: ConservedField,
         try:
             dt = advance(state, t_final - state.t, dt_max)
         except LpsweError as exc:
-            raise type(exc)(f"step {state.step}: {exc}") from exc
+            # Prefix the step in place, keeping the type and its payload.
+            exc.args = (f"step {state.step}: {exc}",) + exc.args[1:]
+            raise
         dts.append(dt)
         h = state.conserved.h[:n]
         masses.append(float(np.sum(mesh.area * h)))

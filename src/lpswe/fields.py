@@ -29,7 +29,7 @@ class Params:
     k_cfl: float = 0.9
     theta_policy: str = "corrected"   # corrected | unity
     scheme: str = "EXEX"              # EXEX | IMEX
-    solver_tol: float = 1e-10
+    solver_tol: float = 1e-13
     solver_maxiter: int = 500
     dt_max: float = None              # defaults to t_final / 10 in the driver
 

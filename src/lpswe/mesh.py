@@ -206,15 +206,16 @@ def validate_mesh(mesh: Mesh) -> None:
     if np.any(mesh.area <= 0.0):
         raise MeshFormatError("non-positive cell area")
     # Closed-polygon identity: sum of length-weighted outward normals is zero.
-    acc = np.zeros((mesh.n_cells, 2))
-    w = mesh.face_length[:, None] * mesh.face_normal
-    np.add.at(acc, mesh.face_owner, w)
-    interior = mesh.face_neighbor < mesh.n_cells
-    np.add.at(acc, mesh.face_neighbor[interior], -w[interior])
-    perim = np.zeros(mesh.n_cells)
-    np.add.at(perim, mesh.face_owner, mesh.face_length)
-    np.add.at(perim, mesh.face_neighbor[interior], mesh.face_length[interior])
-    if np.any(np.hypot(acc[:, 0], acc[:, 1]) > 1e-12 * perim):
+    n = mesh.n_cells
+    interior = mesh.face_neighbor < n
+
+    def sums(w, sign):
+        return (np.bincount(mesh.face_owner, w, n) + sign * np.bincount(
+            mesh.face_neighbor[interior], w[interior], n))
+
+    wx, wy = mesh.face_length * mesh.face_normal.T
+    perim = sums(mesh.face_length, 1.0)
+    if np.any(np.hypot(sums(wx, -1.0), sums(wy, -1.0)) > 1e-12 * perim):
         raise MeshFormatError("cell faces do not close")
 
 
@@ -306,8 +307,11 @@ def read_mesh(path) -> Mesh:
     if pos != len(tokens):
         lineno, tok = tokens[pos]
         raise MeshFormatError(f"{path}:{lineno}: trailing token {tok!r}")
-    return _mesh_from_cells(verts, np.concatenate([[0], np.cumsum(sizes)]),
-                            cell_ids)
+    try:
+        return _mesh_from_cells(
+            verts, np.concatenate([[0], np.cumsum(sizes)]), cell_ids)
+    except MeshFormatError as exc:
+        raise MeshFormatError(f"{path}: {exc}") from None
 
 
 def write_mesh(mesh: Mesh, path) -> None:

@@ -209,7 +209,7 @@ def _make_registry():
             domain=(0.0, 1.0, 0.0, 1.0),
             topography=lambda x, y: flat_topography(x),
             initial=lambda xc, yc, z, p: vortex_initial(xc, yc, p),
-            bc=BoundaryCondition.periodic_x(y_kind="absorbing"),
+            bc=BoundaryCondition.periodic_x(),
             exact=vortex_exact,
         ),
         "vortex_topo": Scenario(
@@ -217,7 +217,7 @@ def _make_registry():
             domain=(0.0, 2.0, 0.0, 1.0),
             topography=vortex_gaussian_topography,
             initial=vortex_over_bump,
-            bc=BoundaryCondition.periodic_x(y_kind="absorbing"),
+            bc=BoundaryCondition.periodic_x(),
         ),
     }
 

@@ -107,7 +107,7 @@ def strip_vs_1d(scheme="EXEX", n_steps=5, nx=40, dt=2e-4):
 
 
 def implicit_vs_dense(nx=3, ny=3, dt=5e-4):
-    """Sparse-LU implicit acoustic solve against a dense reference solve of
+    """Krylov implicit acoustic solve against a dense reference solve of
     the same assembled matrix, on a tiny mesh."""
     p = Params(scheme="IMEX")
     mesh = meshmod.build_cartesian(nx, ny)

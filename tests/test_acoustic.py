@@ -7,7 +7,8 @@ from lpswe.acoustic import (acoustic_cfl_fraction, assemble_implicit,
                             solve_implicit)
 from lpswe.driver import BoundaryCondition, apply_bc, prepare_state
 from lpswe.exceptions import CFLError, PositivityError, SolverError
-from lpswe.fields import ConservedField, Params, Topography, to_relaxed
+from lpswe.fields import (ConservedField, Params, RelaxedField, Topography,
+                          to_relaxed)
 from lpswe.flux_kernels import evaluate_face_fluxes
 from lpswe.scenarios import bump_topography, dam_break
 
@@ -115,6 +116,42 @@ def test_implicit_lake_at_rest_fixed_point():
     x[2::3] = r.pi[:n]
     # the rest state is a fixed point of the linear system
     assert np.max(np.abs(system.A @ x - system.b)) < 1e-12
+
+
+def test_implicit_operator_matches_explicit_kernels():
+    # A x - b = (x - x^n) + dt T D F(x) and the explicit update is
+    # E(x) = x - dt T D F(x), with the fluxes F at x and the time-n theta:
+    # so A x - b = 2x - x^n - E(x) for any state x
+    p = Params(scheme="IMEX")
+    mesh = meshmod.build_triangulated(8, 8)
+    z = bump_topography(mesh.centroid[:, 0])
+    ic = dam_break(mesh.centroid[:, 0], z)
+    state = prepare_state(mesh, Topography(z), ic,
+                          BoundaryCondition.periodic_all(), p)
+    apply_bc(state.conserved, mesh, state.donor)
+    r = to_relaxed(state.conserved, p, n_interior=mesh.n_cells)
+    h_n = state.conserved.h
+    fluxes_n = evaluate_face_fluxes(mesh, r.u, r.pi, h_n, state.topo.z, p)
+
+    n = mesh.n_cells
+    rng = np.random.default_rng(7)
+    u = rng.normal(size=(mesh.n_total, 2))
+    pi = r.pi * (1.0 + 0.1 * rng.normal(size=mesh.n_total))
+    u[n:] = u[state.donor]
+    pi[n:] = pi[state.donor]
+    fluxes_x = evaluate_face_fluxes(mesh, u, pi, h_n, state.topo.z, p,
+                                    theta=fluxes_n.theta)
+    dt = 0.4 / acoustic_cfl_fraction(mesh, r.tau, fluxes_x, 1.0)
+    system = assemble_implicit(r, mesh, state.topo, p, dt, state.donor,
+                               fluxes_n=fluxes_n, h_n=h_n)
+    ex = explicit_acoustic(RelaxedField(r.tau, u, pi), mesh, state.topo, p,
+                           dt, fluxes=fluxes_x, h_n=h_n)
+
+    x = np.column_stack([u[:n], pi[:n]]).ravel()
+    e = np.column_stack([ex.relaxed.u[:n], ex.relaxed.pi[:n]]).ravel()
+    lhs = system.A @ x - system.b
+    rhs = 2.0 * x - system.x0 - e
+    assert np.max(np.abs(lhs - rhs)) <= 1e-13 * np.max(np.abs(x))
 
 
 def test_solver_residual_contract():

@@ -4,7 +4,7 @@ import pytest
 from lpswe import mesh as meshmod
 from lpswe.driver import (BoundaryCondition, apply_bc, build_donor, dt_exex,
                           dt_imex, ghost_topography, run, run_steps)
-from lpswe.exceptions import ConfigError
+from lpswe.exceptions import ConfigError, PositivityError, SolverError
 from lpswe.fields import ConservedField, Params, Topography, to_relaxed
 from lpswe.flux_kernels import evaluate_face_fluxes
 from lpswe.scenarios import bump_topography, get_scenario
@@ -17,6 +17,13 @@ def test_bc_validation():
         BoundaryCondition(top="open")
     bc = BoundaryCondition.periodic_all()
     assert bc.left == bc.top == "periodic"
+
+
+def test_absorbing_is_neumann_alias():
+    assert BoundaryCondition(top="absorbing") == BoundaryCondition()
+    assert (BoundaryCondition.periodic_x(y_kind="absorbing")
+            == BoundaryCondition.periodic_x())
+    assert BoundaryCondition.periodic_x().bottom == "neumann"
 
 
 def test_neumann_donor_is_adjacent_owner():
@@ -142,3 +149,28 @@ def test_error_message_includes_step_number():
             run(mesh, topo, ic, BoundaryCondition(), p, 0.01)
     finally:
         drv.advance = orig
+
+
+def test_solver_error_keeps_residual_and_step():
+    # one BiCGSTAB iteration (and two restarts) cannot solve the first
+    # IMEX dam-break system to the default tolerance
+    p = Params(scheme="IMEX", solver_maxiter=1)
+    sc = get_scenario("dam_break")
+    mesh = meshmod.build_cartesian(10, 10)
+    topo, ic = sc.build(mesh, p)
+    with pytest.raises(SolverError, match=r"^step 0: .*missed tolerance") \
+            as exc:
+        run(mesh, topo, ic, sc.bc, p, 0.01)
+    assert exc.value.residual > p.solver_tol
+
+
+def test_positivity_error_keeps_cell_and_step():
+    p = Params()
+    mesh = meshmod.build_cartesian(4, 4)
+    h = np.full(16, 1.0)
+    h[5] = 0.0
+    ic = ConservedField(h, np.zeros((16, 2)))
+    with pytest.raises(PositivityError, match=r"^step 0: h non-positive") \
+            as exc:
+        run(mesh, Topography(np.zeros(16)), ic, BoundaryCondition(), p, 0.01)
+    assert exc.value.cell == 5

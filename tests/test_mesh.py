@@ -96,7 +96,8 @@ def test_duplicate_face_rejected():
 def test_non_convex_cell_rejected(tmp_path, text):
     path = tmp_path / "cell.swmesh"
     path.write_text("SWMESH 1\n" + text)
-    with pytest.raises(MeshFormatError, match="cell 0 is not convex"):
+    with pytest.raises(MeshFormatError,
+                       match=r"cell\.swmesh: cell 0 is not convex"):
         meshmod.read_mesh(path)
 
 
