@@ -147,9 +147,114 @@ def explicit_acoustic(r: RelaxedField, mesh, topo, p: Params, dt,
     return AcousticResult(RelaxedField(tau1, u1, pi1), fluxes, dt)
 
 
+@dataclass
+class ImplicitPattern:
+    """CSR structure of the implicit matrix for one mesh and donor map.
+
+    ``owner_pos`` holds the data position of each Jacobian entry
+    ``vals[owner_mask]`` in the owner rows, ``neighbor_pos`` that of each
+    ``vals[neighbor_mask]`` in the interior-neighbor rows (``vals`` as in
+    ``assemble_implicit``, face x 3 fluxes x 6 columns), and ``diag`` the
+    position of each diagonal entry.
+    """
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    diag: np.ndarray
+    owner_mask: np.ndarray
+    owner_pos: np.ndarray
+    neighbor_mask: np.ndarray
+    neighbor_pos: np.ndarray
+
+
+def implicit_pattern(mesh, donor) -> ImplicitPattern:
+    """Derive the sparsity of A = I + kron(T D, I3) F from the mesh and the
+    ghost donors.
+
+    Face f couples the cells o (owner) and m (neighbor, or the donor of its
+    ghost) in the 3x3 blocks (o, o), (o, m), (nb, o) and (nb, nb), the last
+    two for an interior neighbor nb only.  Its entry in row unknown c and
+    column unknown k (0: u1, 1: u2, 2: Pi) carries the factor w_c w_k with
+    w = (n_x, n_y, 1), so it is zero by geometry when that factor is.  A
+    block entry is stored when some face gives it a nonzero factor, or when
+    it is on the diagonal.
+    """
+    n, nf = mesh.n_cells, mesh.n_faces
+    o, nb = mesh.face_owner, mesh.face_neighbor
+    inner = np.nonzero(nb < n)[0]
+    m = nb.copy()
+    ghost = nb >= n
+    m[ghost] = donor[nb[ghost] - n]
+
+    # Blocks by (row cell, column cell) key, in CSR order; block[s] is the
+    # block of slot s: (o, o), (o, m) of every face, then (nb, o), (nb, nb)
+    # of the interior faces.
+    keys, block = np.unique(
+        np.concatenate([o, o, nb[inner], nb[inner]]).astype(np.int64) * n
+        + np.concatenate([o, m, o[inner], nb[inner]]), return_inverse=True)
+    block = block.astype(np.int32)
+
+    # Stored entries of each block, as bits c*3 + k: the union over its
+    # slots of the faces' nonzero factors, plus the diagonal.
+    w = np.column_stack([mesh.face_normal != 0.0, np.ones(nf, bool)])
+    geo = w[:, :, None] & w[:, None, :]                       # (nf, 3, 3)
+    bits = geo.reshape(nf, 9) @ (1 << np.arange(9))
+    block_bits = np.zeros(len(keys), bits.dtype)
+    np.bitwise_or.at(block_bits, block,
+                     np.concatenate([bits, bits, bits[inner], bits[inner]]))
+    diag_block = np.searchsorted(keys, np.arange(n) * (n + 1))
+    block_bits[diag_block] |= 0b100010001
+    stored = (block_bits[:, None] >> np.arange(9)) & 1 == 1
+
+    indptr, indices, pos = _csr_layout(keys // n, keys % n, stored, n)
+
+    # Data position of each Jacobian entry (face, flux c, column k of o,
+    # then of m) in the owner rows and in the interior-neighbor rows.
+    def entry_pos(first, second, mask):
+        return np.concatenate([pos[block[first]].reshape(-1, 3, 3),
+                               pos[block[second]].reshape(-1, 3, 3)],
+                              axis=2)[mask]
+
+    ni = len(inner)
+    owner_mask = np.concatenate([geo, geo], axis=2)
+    neighbor_mask = owner_mask.copy()
+    neighbor_mask[ghost] = False
+    return ImplicitPattern(
+        indptr=indptr, indices=indices,
+        diag=pos[diag_block][:, [0, 4, 8]].ravel(),
+        owner_mask=owner_mask,
+        owner_pos=entry_pos(slice(nf), slice(nf, 2 * nf), owner_mask),
+        neighbor_mask=neighbor_mask,
+        neighbor_pos=entry_pos(slice(2 * nf, 2 * nf + ni),
+                               slice(2 * nf + ni, None), owner_mask[inner]))
+
+
+def _csr_layout(brow, bcol, stored, n):
+    """indptr, indices and data positions of the stored entries of 3x3
+    blocks: block b sits at block row brow[b] and block column bcol[b], its
+    entry (c, k) is stored where stored[b, 3c + k], and pos[b, 3c + k] is
+    the data position of that entry.
+
+    np.nonzero lists the entries by block, then c, then k, and the blocks
+    are sorted by (brow, bcol); a stable sort by matrix row then keeps the
+    columns in order within each row.
+    """
+    b, c, k = np.nonzero(stored.reshape(-1, 3, 3))
+    rows = 3 * brow[b] + c
+    order = np.argsort(rows, kind="stable")
+    indptr = np.zeros(3 * n + 1, np.int32)
+    np.cumsum(np.bincount(rows, minlength=3 * n), out=indptr[1:])
+    indices = (3 * bcol[b] + k)[order].astype(np.int32)
+    del b, c, k, rows      # freed early: lowers the build's peak memory
+    pos = np.full(stored.size, -1, np.int32)
+    pos[np.flatnonzero(stored)[order]] = np.arange(len(order), dtype=np.int32)
+    return indptr, indices, pos.reshape(stored.shape)
+
+
 def assemble_implicit(r: RelaxedField, mesh, topo, p: Params, dt,
                       donor, fluxes_n: FaceFlux = None,
-                      h_n=None) -> LinearSystem:
+                      h_n=None, pattern: ImplicitPattern = None
+                      ) -> LinearSystem:
     """Assemble the implicit acoustic system (sharp level = n+1-) as
     A = I + dt diag(tau/|K|) D F, D acting on each of the three fluxes.
 
@@ -164,36 +269,30 @@ def assemble_implicit(r: RelaxedField, mesh, topo, p: Params, dt,
     Ghost unknowns are eliminated through ``donor``: the ghost behind
     boundary face i carries the unknowns of interior cell donor[i]
     (zero-gradient closure, or the periodic partner).  The source terms go
-    to b; owner and neighbor both see +s/2 n in the momentum rows, hence
-    |D| there.
+    to b; owner and neighbor both see +s/2 n in the momentum rows.
+
+    The structure of A comes from ``pattern`` (``implicit_pattern`` of the
+    same mesh and donors, built here when not given); only its values are
+    computed per call.
     """
     n = mesh.n_cells
     if h_n is None:
         h_n = 1.0 / r.tau
     if fluxes_n is None:
         fluxes_n = evaluate_face_fluxes(mesh, r.u, r.pi, h_n, topo.z, p)
+    if pattern is None:
+        pattern = implicit_pattern(mesh, donor)
     a, theta = fluxes_n.a, fluxes_n.theta
     o, nb = mesh.face_owner, mesh.face_neighbor
     # Frozen time-n source bracket.
     src = hydrostatic_source(h_n[o], h_n[nb], topo.z[o], topo.z[nb], p.g)
 
-    # T D, with T = dt diag(tau/|K|) applied to the +-1 entries of D.
     nf = mesh.n_faces
-    inner = np.nonzero(nb < n)[0]
-    T = dt * r.tau[:n] / mesh.area
-    TD = sp.csr_matrix(
-        (np.r_[T[o], -T[nb[inner]]],
-         (np.r_[o, nb[inner]], np.r_[np.arange(nf), inner])), shape=(n, nf))
-
-    m = nb.copy()
-    ghost = nb >= n
-    m[ghost] = donor[nb[ghost] - n]
     nx, ny = mesh.face_normal[:, 0], mesh.face_normal[:, 1]
     length = mesh.face_length
-    # Face rows 3f, 3f+1, 3f+2 of F hold six entries each, in the columns
-    # (u1, u2, Pi) of o, then of m: length times n_x dPi_face, n_y dPi_face
-    # and a^2 du_star.  Where m == o (a zero-gradient ghost) the product
-    # below sums the repeated columns.
+    # Face f holds 3 x 6 Jacobian entries: length times n_x dPi_face,
+    # n_y dPi_face and a^2 du_star, in the columns (u1, u2, Pi) of o, then
+    # of m.  Where m == o (a zero-gradient ghost) both land on one entry.
     ta = 0.5 * theta * a
     half = np.full(nf, 0.5)
     dpi = np.stack([ta * nx, ta * ny, half, -ta * nx, -ta * ny, half], 1)
@@ -202,18 +301,33 @@ def assemble_implicit(r: RelaxedField, mesh, topo, p: Params, dt,
     vals = np.stack([(length * nx)[:, None] * dpi,
                      (length * ny)[:, None] * dpi,
                      (length * a * a)[:, None] * dus], 1)
-    cols = np.concatenate([3 * o[:, None] + np.arange(3),
-                           3 * m[:, None] + np.arange(3)], 1)
-    F = sp.csr_matrix(
-        (vals.ravel(), np.repeat(cols, 3, axis=0).ravel(),
-         np.arange(0, 18 * nf + 1, 6)), shape=(3 * nf, 3 * n))
-    A = (sp.identity(3 * n, format="csr")
-         + sp.kron(TD, sp.identity(3), format="csr") @ F)
+
+    # T D F: the rows of cell j carry T_j = dt tau_j / |K_j| times the
+    # entries of its faces, + as owner and - as interior neighbor.  Each
+    # entry is scaled before the sum, as in the product (T D) F, so that
+    # the sums that cancel exactly there (closure sums of l n over a cell)
+    # cancel here too and are dropped as zeros.
+    T = np.zeros(mesh.n_total)
+    T[:n] = dt * r.tau[:n] / mesh.area
+    nnz = len(pattern.indices)
+    data = np.bincount(
+        pattern.owner_pos, minlength=nnz,
+        weights=(T[o][:, None, None] * vals)[pattern.owner_mask])
+    data -= np.bincount(
+        pattern.neighbor_pos, minlength=nnz,
+        weights=(T[nb][:, None, None] * vals)[pattern.neighbor_mask])
+    data[pattern.diag] += 1.0
+    A = sp.csr_matrix((data, pattern.indices.copy(), pattern.indptr.copy()),
+                      shape=(3 * n, 3 * n))
+    A.eliminate_zeros()
 
     x0 = np.column_stack([r.u[:n], r.pi[:n]]).ravel()
     hs = 0.5 * length * src
-    b = x0 - np.column_stack([abs(TD) @ (mesh.face_normal * hs[:, None]),
-                              -(TD @ (a * hs))]).ravel()
+    wx, wy, wa = nx * hs, ny * hs, a * hs
+    Tn = T[:n]
+    b = x0 - np.column_stack([Tn * _face_cell_sums(mesh, wx, wx),
+                              Tn * _face_cell_sums(mesh, wy, wy),
+                              -Tn * _face_cell_sums(mesh, wa, -wa)]).ravel()
     return LinearSystem(A=A, b=b, x0=x0, n_cells=n, dt=dt)
 
 
@@ -245,16 +359,18 @@ def solve_implicit(system: LinearSystem, tol, max_iter=500):
 
 def implicit_acoustic(r: RelaxedField, mesh, topo, p: Params, dt,
                       donor, fluxes_n: FaceFlux = None,
-                      h_n=None) -> AcousticResult:
+                      h_n=None, pattern: ImplicitPattern = None
+                      ) -> AcousticResult:
     """Implicit acoustic step: assemble, solve, back-substitute tau and
-    evaluate the sharp-level face fluxes with the frozen time-n theta."""
+    evaluate the sharp-level face fluxes with the frozen time-n theta.
+    ``pattern`` is handed to ``assemble_implicit``."""
     n = mesh.n_cells
     if h_n is None:
         h_n = 1.0 / r.tau
     if fluxes_n is None:
         fluxes_n = evaluate_face_fluxes(mesh, r.u, r.pi, h_n, topo.z, p)
     system = assemble_implicit(r, mesh, topo, p, dt, donor,
-                               fluxes_n=fluxes_n, h_n=h_n)
+                               fluxes_n=fluxes_n, h_n=h_n, pattern=pattern)
     u_sol, pi_sol = solve_implicit(system, p.solver_tol, p.solver_maxiter)
 
     u1 = r.u.copy()

@@ -11,7 +11,8 @@ from typing import List, Optional
 import numpy as np
 
 from . import mesh as meshmod
-from .acoustic import explicit_acoustic, implicit_acoustic
+from .acoustic import (ImplicitPattern, explicit_acoustic,
+                       implicit_acoustic, implicit_pattern)
 from .exceptions import CFLError, ConfigError, LpsweError, PositivityError
 from .fields import ConservedField, Params, Topography, to_relaxed
 from .flux_kernels import evaluate_face_fluxes
@@ -172,6 +173,8 @@ class RunState:
     t: float = 0.0
     step: int = 0
     next_dt: Optional[float] = None   # lagged dt for IMEX
+    # Sparsity of the implicit system, built on the first IMEX attempt.
+    pattern: Optional[ImplicitPattern] = None
 
 
 @dataclass
@@ -206,6 +209,8 @@ def advance(state: RunState, t_remaining: float, dt_max: float) -> float:
         if state.next_dt is None:
             state.next_dt = dt_exex(mesh, relaxed.tau, fluxes_n, p, dt_max)
         dt = min(state.next_dt, t_remaining)
+        if state.pattern is None:
+            state.pattern = implicit_pattern(mesh, state.donor)
         # Lagged-dt policy: the previous step's transport speeds sized this
         # dt.  During fast transients the new speeds can overshoot it, so
         # the step is rejected and re-solved at a smaller dt until the
@@ -214,7 +219,7 @@ def advance(state: RunState, t_remaining: float, dt_max: float) -> float:
             try:
                 ac = implicit_acoustic(relaxed, mesh, state.topo, p, dt,
                                        state.donor, fluxes_n=fluxes_n,
-                                       h_n=h_n)
+                                       h_n=h_n, pattern=state.pattern)
             except PositivityError as exc:
                 dt = min(0.5 * dt, exc.suggested_dt or 0.5 * dt)
                 continue

@@ -118,23 +118,25 @@ def test_implicit_lake_at_rest_fixed_point():
     assert np.max(np.abs(system.A @ x - system.b)) < 1e-12
 
 
-def test_implicit_operator_matches_explicit_kernels():
+def _check_implicit_operator_against_explicit(build, nx, ny, bc):
     # A x - b = (x - x^n) + dt T D F(x) and the explicit update is
     # E(x) = x - dt T D F(x), with the fluxes F at x and the time-n theta:
     # so A x - b = 2x - x^n - E(x) for any state x
     p = Params(scheme="IMEX")
-    mesh = meshmod.build_triangulated(8, 8)
+    mesh = build(nx, ny)
     z = bump_topography(mesh.centroid[:, 0])
     ic = dam_break(mesh.centroid[:, 0], z)
-    state = prepare_state(mesh, Topography(z), ic,
-                          BoundaryCondition.periodic_all(), p)
+    # time-n motion, so that theta is nonzero on most faces
+    rng = np.random.default_rng(7)
+    ic.hu[:] = ic.h[:, None] * rng.normal(scale=0.5, size=ic.hu.shape)
+    state = prepare_state(mesh, Topography(z), ic, bc, p)
     apply_bc(state.conserved, mesh, state.donor)
     r = to_relaxed(state.conserved, p, n_interior=mesh.n_cells)
     h_n = state.conserved.h
     fluxes_n = evaluate_face_fluxes(mesh, r.u, r.pi, h_n, state.topo.z, p)
+    assert np.mean(fluxes_n.theta > 0.0) > 0.9
 
     n = mesh.n_cells
-    rng = np.random.default_rng(7)
     u = rng.normal(size=(mesh.n_total, 2))
     pi = r.pi * (1.0 + 0.1 * rng.normal(size=mesh.n_total))
     u[n:] = u[state.donor]
@@ -152,6 +154,25 @@ def test_implicit_operator_matches_explicit_kernels():
     lhs = system.A @ x - system.b
     rhs = 2.0 * x - system.x0 - e
     assert np.max(np.abs(lhs - rhs)) <= 1e-13 * np.max(np.abs(x))
+
+
+def test_implicit_operator_matches_explicit_kernels():
+    # interior and periodic couplings on triangles
+    _check_implicit_operator_against_explicit(
+        meshmod.build_triangulated, 8, 8, BoundaryCondition.periodic_all())
+
+
+@pytest.mark.parametrize("build, nx, ny, bc", [
+    # two faces of one cell couple to the same neighbor block
+    (meshmod.build_cartesian, 6, 2, BoundaryCondition.periodic_all()),
+    # the neumann ghosts above and below map back onto their owner
+    (meshmod.build_cartesian, 5, 1, BoundaryCondition.periodic_x()),
+    # neumann ghosts on every side
+    (meshmod.build_triangulated, 5, 4, BoundaryCondition()),
+], ids=["quad6x2-periodic", "quad5x1-periodic_x", "tri5x4-neumann"])
+def test_implicit_operator_matches_explicit_kernels_ghost_layouts(
+        build, nx, ny, bc):
+    _check_implicit_operator_against_explicit(build, nx, ny, bc)
 
 
 def test_solver_residual_contract():

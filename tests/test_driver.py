@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import lpswe.acoustic as acoustic
+import lpswe.driver as drv
 from lpswe import mesh as meshmod
 from lpswe.driver import (BoundaryCondition, apply_bc, build_donor, dt_exex,
                           dt_imex, ghost_topography, run, run_steps)
@@ -126,6 +128,33 @@ def test_imex_lagged_dt_bootstrap():
     # at rest the transport speed is ~0 so dt jumps to dt_max after step 1
     assert rep.dt_history[1] == pytest.approx(0.1 / 10.0)
     assert rep.dt_history[0] < rep.dt_history[1]
+
+
+def test_imex_builds_implicit_pattern_once(monkeypatch):
+    # the sparsity of the implicit system depends on the mesh and donors
+    # only: one build serves every attempt of a run, rejected ones too
+    builds, attempts = [], []
+    build, attempt = drv.implicit_pattern, drv.implicit_acoustic
+
+    def counted_build(mesh, donor):
+        builds.append(mesh)
+        return build(mesh, donor)
+
+    def counted_attempt(*args, **kwargs):
+        attempts.append(kwargs.get("pattern"))
+        return attempt(*args, **kwargs)
+
+    monkeypatch.setattr(drv, "implicit_pattern", counted_build)
+    monkeypatch.setattr(acoustic, "implicit_pattern", counted_build)
+    monkeypatch.setattr(drv, "implicit_acoustic", counted_attempt)
+    p = Params(scheme="IMEX", dt_max=0.05)
+    sc = get_scenario("dam_break")
+    mesh = meshmod.build_triangulated(10, 10)
+    topo, ic = sc.build(mesh, p)
+    rep = run(mesh, topo, ic, sc.bc, p, 0.05)
+    assert len(attempts) > rep.steps      # at least one rejected attempt
+    assert len(builds) == 1
+    assert all(pattern is attempts[0] for pattern in attempts)
 
 
 def test_error_message_includes_step_number():
