@@ -3,12 +3,15 @@
 """Desk-scale verification suite.
 
 Each criterion is a function returning a CriterionResult; the CLI `verify`
-command and the acceptance test module both run these.  Expensive runs are
-cached so that criteria sharing a configuration reuse it.
+command and the acceptance test module both run these.  ``run_case`` makes
+each run once per process, and ``EXPERIMENTS`` names the runs that
+`lpswe reproduce` writes out and the criteria they feed, so `verify` and
+`reproduce` share them.
 """
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -16,6 +19,7 @@ from . import mesh as meshmod
 from .driver import (BoundaryCondition, advance, prepare_state, run,
                      run_steps)
 from .fields import ConservedField, Params, Topography
+from .io import MeshSpec
 from .reference1d import State1D, run1d
 from .scenarios import (VORTEX_BACKGROUND_U, bump_topography, dam_break,
                         error_norms, get_scenario, line_cut, vortex_exact)
@@ -36,54 +40,65 @@ def _velocity(conserved, n):
     return conserved.hu[:n] / conserved.h[:n, None]
 
 
-def _scenario_case(name, kind, nx, ny, p):
-    sc = get_scenario(name)
-    if kind == "tri":
-        mesh = meshmod.build_triangulated(nx, ny, sc.domain)
-    else:
-        mesh = meshmod.build_cartesian(nx, ny, sc.domain)
-    topo, ic = sc.build(mesh, p)
-    return sc, mesh, topo, ic
+class Case(NamedTuple):
+    """One scenario run on a generated mesh; the key of ``run_case``."""
+    scenario: str
+    kind: str            # cartesian | tri
+    nx: int
+    ny: int
+    scheme: str
+    theta: str = "corrected"
+    t_final: float = 0.1
+
+    @property
+    def params(self):
+        return Params(scheme=self.scheme, theta_policy=self.theta)
 
 
 @lru_cache(maxsize=None)
-def _lake_run(scheme):
-    p = Params(scheme=scheme)
-    sc, mesh, topo, ic = _scenario_case("lake_at_rest", "tri", 32, 32, p)
-    report = run(mesh, topo, ic, sc.bc, p, 0.1)
-    return mesh, topo, report
+def run_case(case: Case):
+    """Run ``case`` once per process; returns (mesh, topo, initial, report)."""
+    sc = get_scenario(case.scenario)
+    mesh = MeshSpec(kind=case.kind, nx=case.nx, ny=case.ny).build(sc.domain)
+    topo, ic = sc.build(mesh, case.params)
+    report = run(mesh, topo, ic, sc.bc, case.params, case.t_final)
+    return mesh, topo, ic, report
+
+
+class Experiment(NamedTuple):
+    """A benchmark experiment: tagged runs and the criteria they feed."""
+    criteria: tuple      # keys of ALL_CRITERIA
+    runs: dict           # tag -> Case
+
+
+_LAKE = ("lake_at_rest", "tri", 32, 32)
+_DAM = ("dam_break", "tri", 60, 60)
+_VFLAT = ("vortex_flat", "cartesian", 80, 80)
+_VTOPO = ("vortex_topo", "cartesian", 160, 80)
+
+EXPERIMENTS = {
+    "wb": Experiment(("wb",), {
+        f"wb_{s}": Case(*_LAKE, s) for s in ("EXEX", "IMEX")}),
+    "dambreak": Experiment(("dambreak",), {
+        "dambreak2d": Case(*_DAM, "EXEX"),
+        "dambreak2d_IMEX": Case(*_DAM, "IMEX")}),
+    "vortex_flat": Experiment(("lowfroude", "imexsteps"), {
+        f"vortex_{s}_{t}": Case(*_VFLAT, s, t)
+        for s in ("EXEX", "IMEX") for t in ("corrected", "unity")}),
+    "vortex_topo": Experiment(("vortex_topo",), {
+        f"vtopo_{s}_{t}": Case(*_VTOPO, s, t)
+        for s, t in (("EXEX", "corrected"), ("EXEX", "unity"),
+                     ("IMEX", "corrected"))}),
+}
+
+
+def _run(experiment, tag):
+    return run_case(EXPERIMENTS[experiment].runs[tag])
 
 
 @lru_cache(maxsize=None)
-def _vortex_flat_run(scheme, theta, n):
-    p = Params(scheme=scheme, theta_policy=theta)
-    sc, mesh, topo, ic = _scenario_case("vortex_flat", "cartesian", n, n, p)
-    report = run(mesh, topo, ic, sc.bc, p, 0.1)
-    return mesh, report
-
-
-@lru_cache(maxsize=None)
-def _vortex_topo_run(scheme, theta):
-    p = Params(scheme=scheme, theta_policy=theta)
-    sc, mesh, topo, ic = _scenario_case("vortex_topo", "cartesian",
-                                        160, 80, p)
-    report = run(mesh, topo, ic, sc.bc, p, 0.1)
-    return mesh, ic, report
-
-
-@lru_cache(maxsize=None)
-def _dam_break_2d(scheme):
-    p = Params(scheme=scheme)
-    sc, mesh, topo, ic = _scenario_case("dam_break", "tri", 60, 60, p)
-    report = run(mesh, topo, ic, sc.bc, p, 0.1)
-    n = mesh.n_cells
-    H = report.final.h[:n] + topo.z[:n]
-    x, Hcut = line_cut(H, mesh, 0.5)
-    return x, Hcut
-
-
-@lru_cache(maxsize=None)
-def _dam_break_1d(scheme):
+def dam_break_1d(scheme):
+    """The 200-cell 1D dam break reference; returns (xc, state, steps)."""
     p = Params(scheme=scheme)
     nx = 200
     dx = 1.0 / nx
@@ -91,8 +106,8 @@ def _dam_break_1d(scheme):
     z = bump_topography(xc)
     ic = dam_break(xc, z)
     s0 = State1D(dx, ic.h, np.zeros(nx), np.zeros(nx), z)
-    s, _ = run1d(s0, p, 0.1)
-    return xc, s.h + z
+    s, steps = run1d(s0, p, 0.1)
+    return xc, s, steps
 
 
 def _crossing(x, H, level):
@@ -116,9 +131,9 @@ def lake_at_rest_errors(mesh, topo, conserved):
 
 
 def criterion_1_well_balanced():
-    mesh, topo, rep_ex = _lake_run("EXEX")
+    mesh, topo, _, rep_ex = _run("wb", "wb_EXEX")
     surf_err, u_err = lake_at_rest_errors(mesh, topo, rep_ex.final)
-    _, _, rep_im = _lake_run("IMEX")
+    _, _, _, rep_im = _run("wb", "wb_IMEX")
     _, u_err_im = lake_at_rest_errors(mesh, topo, rep_im.final)
     passed = surf_err <= 1e-14 and u_err <= 1e-11 and u_err_im <= 1e-6
     return CriterionResult(
@@ -192,9 +207,12 @@ def criterion_3_positivity():
 def criterion_4_dam_break():
     details = []
     passed = True
-    for scheme in ("EXEX", "IMEX"):
-        x2, H2 = _dam_break_2d(scheme)
-        x1, H1 = _dam_break_1d(scheme)
+    for case in EXPERIMENTS["dambreak"].runs.values():
+        mesh, topo, _, report = run_case(case)
+        n = mesh.n_cells
+        x2, H2 = line_cut(report.final.h[:n] + topo.z[:n], mesh, 0.5)
+        x1, s1, _ = dam_break_1d(case.scheme)
+        H1 = s1.h + s1.z
         Href = np.interp(x2, x1, H1)
         l1 = float(np.mean(np.abs(H2 - Href)))
         # front markers: H = 0.6 sits on the shock jump, H = 0.9 inside the
@@ -207,7 +225,7 @@ def criterion_4_dam_break():
         dra = abs(rare2 - rare1)
         ok = l1 <= 0.05 * 0.5 and dsh <= 3.0 / 200 and dra <= 3.0 / 200
         passed = passed and ok
-        details.append(f"{scheme}: L1={l1:.4f} (<=0.025), "
+        details.append(f"{case.scheme}: L1={l1:.4f} (<=0.025), "
                        f"dshock={dsh:.4f}, drare={dra:.4f} (<=0.015)")
     return CriterionResult("dam break 1D/2D agreement", passed,
                            "; ".join(details))
@@ -230,8 +248,8 @@ def criterion_5_low_froude():
     details = []
     passed = True
     for scheme in ("EXEX", "IMEX"):
-        mesh_c, rep_c = _vortex_flat_run(scheme, "corrected", 80)
-        mesh_u, rep_u = _vortex_flat_run(scheme, "unity", 80)
+        mesh_c, _, _, rep_c = _run("vortex_flat", f"vortex_{scheme}_corrected")
+        mesh_u, _, _, rep_u = _run("vortex_flat", f"vortex_{scheme}_unity")
         e_c = vortex_velocity_error(mesh_c, rep_c.final, rep_c.t_final)
         e_u = vortex_velocity_error(mesh_u, rep_u.final, rep_u.t_final)
         ok = e_c <= 0.5 * e_u
@@ -243,8 +261,8 @@ def criterion_5_low_froude():
 
 
 def criterion_6_imex_step_count():
-    _, rep_ex = _vortex_flat_run("EXEX", "corrected", 80)
-    _, rep_im = _vortex_flat_run("IMEX", "corrected", 80)
+    *_, rep_ex = _run("vortex_flat", "vortex_EXEX_corrected")
+    *_, rep_im = _run("vortex_flat", "vortex_IMEX_corrected")
     ratio = rep_ex.steps / max(rep_im.steps, 1)
     passed = rep_im.steps * 10 <= rep_ex.steps
     return CriterionResult(
@@ -270,9 +288,9 @@ def core_swirl_speed(mesh, conserved, t):
 
 
 def criterion_7_vortex_topography():
-    mesh, ic, rep_c = _vortex_topo_run("EXEX", "corrected")
-    _, _, rep_u = _vortex_topo_run("EXEX", "unity")
-    _, _, rep_i = _vortex_topo_run("IMEX", "corrected")
+    mesh, _, ic, rep_c = _run("vortex_topo", "vtopo_EXEX_corrected")
+    *_, rep_u = _run("vortex_topo", "vtopo_EXEX_unity")
+    *_, rep_i = _run("vortex_topo", "vtopo_IMEX_corrected")
     v0 = core_swirl_speed(mesh, ic, 0.0)
     v_c = core_swirl_speed(mesh, rep_c.final, rep_c.t_final)
     v_u = core_swirl_speed(mesh, rep_u.final, rep_u.t_final)
@@ -347,16 +365,12 @@ def criterion_9_rotational_invariance():
 
 
 def criterion_10_convergence():
-    p = Params(scheme="EXEX")
-    sc = get_scenario("vortex_flat")
-    tf = 0.05
     errs, hs = [], []
     for n in (40, 80, 160):
-        mesh = meshmod.build_cartesian(n, n, sc.domain)
-        topo, ic = sc.build(mesh, p)
-        report = run(mesh, topo, ic, sc.bc, p, tf)
+        case = Case("vortex_flat", "cartesian", n, n, "EXEX", t_final=0.05)
+        mesh, _, _, report = run_case(case)
         xc, yc = mesh.centroid[:, 0], mesh.centroid[:, 1]
-        he, _, _ = vortex_exact(xc, yc, report.t_final, p)
+        he, _, _ = vortex_exact(xc, yc, report.t_final, case.params)
         _, l1, _ = error_norms(report.final.h[:mesh.n_cells], he, mesh.area)
         errs.append(l1)
         hs.append(1.0 / n)

@@ -44,6 +44,10 @@ class Params:
             raise ValueError(f"unknown theta_policy {self.theta_policy!r}")
         if self.scheme not in ("EXEX", "IMEX"):
             raise ValueError(f"unknown scheme {self.scheme!r}")
+        if not self.solver_tol > 0.0:
+            raise ValueError("solver_tol must be positive")
+        if self.solver_maxiter < 1:
+            raise ValueError("solver_maxiter must be >= 1")
 
 
 @dataclass
@@ -101,12 +105,3 @@ def to_relaxed(c: ConservedField, p: Params, n_interior=None) -> RelaxedField:
     u = c.hu * tau[:, None]
     pi = p.g * c.h * c.h / 2.0
     return RelaxedField(tau, u, pi)
-
-
-def to_conserved(r: RelaxedField, n_interior=None) -> ConservedField:
-    """Inverse map: h = 1/tau, hu = u/tau."""
-    n = len(r.tau) if n_interior is None else n_interior
-    _check_positive(r.tau, n, "tau")
-    h = 1.0 / r.tau
-    hu = r.u * h[:, None]
-    return ConservedField(h, hu)

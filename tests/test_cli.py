@@ -1,4 +1,7 @@
 
+import pytest
+
+from lpswe import acceptance
 from lpswe.cli import main
 
 
@@ -75,8 +78,54 @@ def test_verify_single_fast_criterion(capsys):
     assert "1/1 criteria passed" in out
 
 
-def test_reproduce_wb(capsys):
-    code = main(["reproduce", "wb", "--out", "/tmp/lpswe-test-wb"])
+@pytest.mark.parametrize("tol", ["0", "-1", "nan"])
+def test_bad_solver_tol_flag_exits_2(tmp_path, capsys, tol):
+    cfg = _cfg(tmp_path, "[scenario]\nname = lake_at_rest\n")
+    code = main(["run", cfg, "--solver-tol", tol,
+                 "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("line", ["solver_tol = 0", "solver_maxiter = 0"])
+def test_bad_solver_config_exits_2(tmp_path, capsys, line):
+    cfg = _cfg(tmp_path, f"[scenario]\nname = lake_at_rest\n[run]\n{line}\n")
+    code = main(["run", cfg, "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_reproduce_wb(tmp_path, capsys):
+    code = main(["reproduce", "wb", "--out", str(tmp_path)])
     out = capsys.readouterr().out
     assert code == 0
-    assert "EXEX" in out and "IMEX" in out
+    assert "wb_EXEX:" in out and "wb_IMEX:" in out
+    assert "[PASS] well-balanced lake at rest" in out
+    for scheme in ("EXEX", "IMEX"):
+        for suffix in ("final.vtk", "cut.csv", "report.txt"):
+            assert (tmp_path / f"wb_{scheme}_{suffix}").exists()
+
+
+def test_reproduce_and_verify_share_runs(tmp_path, monkeypatch, capsys):
+    assert main(["reproduce", "wb", "--out", str(tmp_path)]) == 0
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("run repeated")
+    monkeypatch.setattr(acceptance, "run", no_run)
+    assert acceptance.criterion_1_well_balanced().passed
+
+
+def test_reproduce_rejects_run_flags(capsys):
+    assert main(["reproduce", "wb", "--scheme", "IMEX"]) == 2
+
+
+@pytest.mark.slow
+def test_reproduce_dambreak(tmp_path, capsys):
+    code = main(["reproduce", "dambreak", "--out", str(tmp_path)])
+    out = capsys.readouterr().out
+    assert code == 0
+    for tag in ("dambreak2d", "dambreak2d_IMEX"):
+        for suffix in ("final.vtk", "cut.csv", "report.txt"):
+            assert (tmp_path / f"{tag}_{suffix}").exists()
+    assert (tmp_path / "dambreak1d_cut.csv").exists()
+    assert "[PASS] dam break 1D/2D agreement" in out
