@@ -18,7 +18,7 @@ import scipy.sparse.linalg as spla
 
 from .exceptions import CFLError, PositivityError, SolverError
 from .fields import Params, RelaxedField
-from .flux_kernels import FaceFlux, evaluate_face_fluxes, hydrostatic_source
+from .flux_kernels import FaceFlux, evaluate_face_fluxes
 
 
 @dataclass
@@ -45,33 +45,23 @@ class LinearSystem:
     dt: float
 
 
-def _face_cell_sums(mesh, w_owner, w_neighbor):
-    """Accumulate per-cell sums of face weights: owner cells receive
-    w_owner, interior neighbor cells receive w_neighbor."""
-    n = mesh.n_cells
-    interior = mesh.face_neighbor < n
-    out = np.bincount(mesh.face_owner, weights=w_owner, minlength=n)
-    out += np.bincount(mesh.face_neighbor[interior],
-                       weights=w_neighbor[interior], minlength=n)
-    return out
+# Largest acoustic CFL fraction the explicit step accepts (1/2 up to
+# roundoff).
+ACOUSTIC_CFL_LIMIT = 0.5 * (1.0 + 1e-12)
 
 
 def _divergence(mesh, fluxes):
     """Per-cell sum of sigma_jk * u_star_jk (the neighbor sees -u_star)."""
     w = mesh.face_length * fluxes.u_star
-    return _face_cell_sums(mesh, w, -w) / mesh.area
+    return mesh.cell_sums(w, -w) / mesh.area
 
 
 def acoustic_cfl_fraction(mesh, tau, fluxes, dt):
     """dt * max_j(tau_j * max_k sigma_jk * a_jk); must be <= 1/2 for the
     explicit scheme."""
     n = mesh.n_cells
-    m = np.zeros(n)
     w = mesh.face_length * fluxes.a
-    np.maximum.at(m, mesh.face_owner, w)
-    interior = mesh.face_neighbor < n
-    np.maximum.at(m, mesh.face_neighbor[interior], w[interior])
-    return dt * np.max(tau[:n] * m / mesh.area)
+    return dt * np.max(tau[:n] * mesh.cell_max(w, w) / mesh.area)
 
 
 def _extend_ghosts(arr, donor, n_cells):
@@ -97,7 +87,8 @@ def _tau_update(mesh, tau, dt, fluxes):
 
 def explicit_acoustic(r: RelaxedField, mesh, topo, p: Params, dt,
                       fluxes: FaceFlux = None, h_n=None,
-                      cfl_strict=False, donor=None) -> AcousticResult:
+                      cfl_strict=False, donor=None, cfl_bound=None,
+                      update_pi=True) -> AcousticResult:
     """One explicit acoustic step (sharp level = n).
 
     ``fluxes`` may be passed in when the time-n fluxes were already
@@ -106,6 +97,12 @@ def explicit_acoustic(r: RelaxedField, mesh, topo, p: Params, dt,
     entries of the result are refreshed from their donor cells, which the
     transport upwinding needs for exact flux antisymmetry across periodic
     boundaries.
+
+    ``cfl_bound`` is a known upper bound of the acoustic CFL fraction at
+    this dt; the exact fraction is computed (and checked) only when no
+    bound is given or the bound is over the limit.  With ``update_pi``
+    False the Pi update is skipped and the result's ``relaxed.pi`` is None
+    (the combined update does not read it).
     """
     n = mesh.n_cells
     if h_n is None:
@@ -113,37 +110,41 @@ def explicit_acoustic(r: RelaxedField, mesh, topo, p: Params, dt,
     if fluxes is None:
         fluxes = evaluate_face_fluxes(mesh, r.u, r.pi, h_n, topo.z, p)
 
-    frac = acoustic_cfl_fraction(mesh, r.tau, fluxes, dt)
-    if frac > 0.5 * (1.0 + 1e-12):
-        msg = (f"acoustic CFL violated: dt*max(tau*sigma*a) = {frac:.3e} "
-               f"> 1/2")
-        if cfl_strict:
-            raise CFLError(msg)
-        warnings.warn(msg, stacklevel=2)
+    if cfl_bound is None or not cfl_bound <= ACOUSTIC_CFL_LIMIT:
+        frac = acoustic_cfl_fraction(mesh, r.tau, fluxes, dt)
+        if frac > ACOUSTIC_CFL_LIMIT:
+            msg = (f"acoustic CFL violated: dt*max(tau*sigma*a) = "
+                   f"{frac:.3e} > 1/2")
+            if cfl_strict:
+                raise CFLError(msg)
+            warnings.warn(msg, stacklevel=2)
 
     tau1 = _tau_update(mesh, r.tau, dt, fluxes)
 
     # u update: owner sees pi_star_L * n, neighbor sees pi_star_R * (-n).
     wL = mesh.face_length * fluxes.pi_star_L
     wR = mesh.face_length * fluxes.pi_star_R
-    acc_x = _face_cell_sums(mesh, wL * mesh.face_normal[:, 0],
-                            -wR * mesh.face_normal[:, 0]) / mesh.area
-    acc_y = _face_cell_sums(mesh, wL * mesh.face_normal[:, 1],
-                            -wR * mesh.face_normal[:, 1]) / mesh.area
+    acc_x = mesh.cell_sums(wL * mesh.face_normal[:, 0],
+                           -wR * mesh.face_normal[:, 0]) / mesh.area
+    acc_y = mesh.cell_sums(wL * mesh.face_normal[:, 1],
+                           -wR * mesh.face_normal[:, 1]) / mesh.area
     u1 = r.u.copy()
     u1[:n, 0] = r.u[:n, 0] - r.tau[:n] * dt * acc_x
     u1[:n, 1] = r.u[:n, 1] - r.tau[:n] * dt * acc_y
 
-    # Pi update with the face-local impedance squared.
-    wa = mesh.face_length * fluxes.a * fluxes.a * fluxes.u_star
-    acc_pi = _face_cell_sums(mesh, wa, -wa) / mesh.area
-    pi1 = r.pi.copy()
-    pi1[:n] = r.pi[:n] - r.tau[:n] * dt * acc_pi
+    pi1 = None
+    if update_pi:
+        # Pi update with the face-local impedance squared.
+        wa = mesh.face_length * fluxes.a * fluxes.a * fluxes.u_star
+        acc_pi = mesh.cell_sums(wa, -wa) / mesh.area
+        pi1 = r.pi.copy()
+        pi1[:n] = r.pi[:n] - r.tau[:n] * dt * acc_pi
 
     if donor is not None:
         _extend_ghosts(tau1, donor, n)
         _extend_ghosts(u1, donor, n)
-        _extend_ghosts(pi1, donor, n)
+        if update_pi:
+            _extend_ghosts(pi1, donor, n)
     return AcousticResult(RelaxedField(tau1, u1, pi1), fluxes, dt)
 
 
@@ -282,10 +283,9 @@ def assemble_implicit(r: RelaxedField, mesh, topo, p: Params, dt,
         fluxes_n = evaluate_face_fluxes(mesh, r.u, r.pi, h_n, topo.z, p)
     if pattern is None:
         pattern = implicit_pattern(mesh, donor)
-    a, theta = fluxes_n.a, fluxes_n.theta
+    # Frozen time-n impedance, theta and source bracket.
+    a, theta, src = fluxes_n.a, fluxes_n.theta, fluxes_n.src
     o, nb = mesh.face_owner, mesh.face_neighbor
-    # Frozen time-n source bracket.
-    src = hydrostatic_source(h_n[o], h_n[nb], topo.z[o], topo.z[nb], p.g)
 
     nf = mesh.n_faces
     nx, ny = mesh.face_normal[:, 0], mesh.face_normal[:, 1]
@@ -325,9 +325,9 @@ def assemble_implicit(r: RelaxedField, mesh, topo, p: Params, dt,
     hs = 0.5 * length * src
     wx, wy, wa = nx * hs, ny * hs, a * hs
     Tn = T[:n]
-    b = x0 - np.column_stack([Tn * _face_cell_sums(mesh, wx, wx),
-                              Tn * _face_cell_sums(mesh, wy, wy),
-                              -Tn * _face_cell_sums(mesh, wa, -wa)]).ravel()
+    b = x0 - np.column_stack([Tn * mesh.cell_sums(wx, wx),
+                              Tn * mesh.cell_sums(wy, wy),
+                              -Tn * mesh.cell_sums(wa, -wa)]).ravel()
     return LinearSystem(A=A, b=b, x0=x0, n_cells=n, dt=dt)
 
 

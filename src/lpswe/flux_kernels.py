@@ -29,20 +29,24 @@ class FaceFlux:
     pi_star_R: np.ndarray
     a: np.ndarray
     theta: np.ndarray
+    src: np.ndarray     # hydrostatic source bracket of the time-n depths
 
 
-def impedance(h_L, h_R, p: Params):
+def impedance(h_L, h_R, p: Params, c_L=None, c_R=None):
     """Interface acoustic impedance a = kappa * max(h_L c_L, h_R c_R).
 
     kappa > 1 enforces the sub-characteristic condition a > h c on both
-    sides.  Symmetric in (L, R) by construction.
+    sides.  Symmetric in (L, R) by construction.  ``c_L``/``c_R`` are the
+    sound speeds of h_L/h_R when the caller has taken them (and checked
+    the depths positive); otherwise they are taken here.
     """
     h_L = np.asarray(h_L, dtype=float)
     h_R = np.asarray(h_R, dtype=float)
-    if np.any(h_L <= 0.0) or np.any(h_R <= 0.0):
-        raise ValueError("non-positive depth in impedance")
-    return p.kappa * np.maximum(h_L * sound_speed(h_L, p.g),
-                                h_R * sound_speed(h_R, p.g))
+    if c_L is None:
+        if np.any(h_L <= 0.0) or np.any(h_R <= 0.0):
+            raise ValueError("non-positive depth in impedance")
+        c_L, c_R = sound_speed(h_L, p.g), sound_speed(h_R, p.g)
+    return p.kappa * np.maximum(h_L * c_L, h_R * c_R)
 
 
 def hydrostatic_source(h_L_n, h_R_n, z_L, z_R, g):
@@ -60,15 +64,18 @@ def interface_velocity(u_nL, u_nR, pi_L, pi_R, a, src):
     return (u_nL + u_nR) / 2.0 - (pi_R - pi_L) / (2.0 * a) - src / (2.0 * a)
 
 
-def theta_policy(u_star_n, h_L, h_R, p: Params):
+def theta_policy(u_star_n, h_L, h_R, p: Params, c_L=None, c_R=None):
     """Low-Froude scaling of the pressure-flux velocity-jump term.
 
     corrected: min(|u_star_n| / max(c_L, c_R), 1), a local Froude estimate
-    built from the time-n interface velocity; unity: 1.
+    built from the time-n interface velocity; unity: 1.  The sound speeds
+    ``c_L``/``c_R`` are taken from h_L/h_R unless given.
     """
     if p.theta_policy == "unity":
         return np.ones_like(np.asarray(u_star_n, dtype=float))
-    c = np.maximum(sound_speed(h_L, p.g), sound_speed(h_R, p.g))
+    if c_L is None:
+        c_L, c_R = sound_speed(h_L, p.g), sound_speed(h_R, p.g)
+    c = np.maximum(c_L, c_R)
     if np.any(c <= 0.0):
         raise ValueError("zero sound speed on both sides of a face")
     return np.minimum(np.abs(u_star_n) / c, 1.0)
@@ -91,20 +98,29 @@ def evaluate_face_fluxes(mesh, u, pi, h_n, z, p: Params,
     computed from the interface velocity of the (u, pi) states themselves,
     which is the correct thing to do only when those are time-n states;
     the implicit path passes the frozen time-n theta explicitly.
+
+    Every cell (ghosts included) borders a face, so the depths are checked
+    and the sound speeds taken once per cell, then gathered to the faces.
     """
     o = mesh.face_owner
     nb = mesh.face_neighbor
     nx = mesh.face_normal[:, 0]
     ny = mesh.face_normal[:, 1]
 
+    if np.any(h_n <= 0.0):
+        raise ValueError("non-positive depth in impedance")
+    c = sound_speed(h_n, p.g)
     h_L, h_R = h_n[o], h_n[nb]
-    a = impedance(h_L, h_R, p)
+    c_L, c_R = c[o], c[nb]
+    a = impedance(h_L, h_R, p, c_L, c_R)
     src = hydrostatic_source(h_L, h_R, z[o], z[nb], p.g)
-    u_nL = u[o, 0] * nx + u[o, 1] * ny
-    u_nR = u[nb, 0] * nx + u[nb, 1] * ny
-    u_star = interface_velocity(u_nL, u_nR, pi[o], pi[nb], a, src)
+    pi_o, pi_nb = pi[o], pi[nb]
+    ux, uy = u[:, 0], u[:, 1]    # column gathers are cheaper than u[o, 0]
+    u_nL = ux[o] * nx + uy[o] * ny
+    u_nR = ux[nb] * nx + uy[nb] * ny
+    u_star = interface_velocity(u_nL, u_nR, pi_o, pi_nb, a, src)
     if theta is None:
-        theta = theta_policy(u_star, h_L, h_R, p)
-    pi_L, pi_R = interface_pressures(pi[o], pi[nb], u_nL, u_nR, a, theta, src)
+        theta = theta_policy(u_star, h_L, h_R, p, c_L, c_R)
+    pi_L, pi_R = interface_pressures(pi_o, pi_nb, u_nL, u_nR, a, theta, src)
     return FaceFlux(u_star=u_star, pi_star_L=pi_L, pi_star_R=pi_R,
-                    a=a, theta=theta)
+                    a=a, theta=theta, src=src)

@@ -9,6 +9,7 @@ flux kernels never special-case the boundary.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -57,6 +58,33 @@ class Mesh:
     @property
     def n_faces(self) -> int:
         return len(self.face_length)
+
+    def cell_sums(self, w_owner, w_neighbor):
+        """Per-cell sums of face weights: owner cells receive ``w_owner``,
+        interior neighbor cells ``w_neighbor``.
+
+        The neighbor weights are binned over the ghost ids too and the
+        ghost bins dropped, which gives each interior bin the same terms in
+        the same order as a sum over the interior faces alone.
+        """
+        n = self.n_cells
+        out = np.bincount(self.face_owner, weights=w_owner, minlength=n)
+        out += np.bincount(self.face_neighbor, weights=w_neighbor,
+                           minlength=self.n_total)[:n]
+        return out
+
+    def cell_max(self, w_owner, w_neighbor):
+        """Per-cell max of face weights (and 0), owner cells over
+        ``w_owner`` and interior neighbor cells over ``w_neighbor``."""
+        out = np.zeros(self.n_total)
+        np.maximum.at(out, self.face_owner, w_owner)
+        np.maximum.at(out, self.face_neighbor, w_neighbor)
+        return out[:self.n_cells]
+
+    @cached_property
+    def perimeter_ratio(self) -> np.ndarray:
+        """Perimeter over area of each cell, sum_k l_k / |K_j|."""
+        return self.cell_sums(self.face_length, self.face_length) / self.area
 
     def boundary_sides(self) -> np.ndarray:
         """Classify each boundary face as LEFT/RIGHT/BOTTOM/TOP.
@@ -206,16 +234,10 @@ def validate_mesh(mesh: Mesh) -> None:
     if np.any(mesh.area <= 0.0):
         raise MeshFormatError("non-positive cell area")
     # Closed-polygon identity: sum of length-weighted outward normals is zero.
-    n = mesh.n_cells
-    interior = mesh.face_neighbor < n
-
-    def sums(w, sign):
-        return (np.bincount(mesh.face_owner, w, n) + sign * np.bincount(
-            mesh.face_neighbor[interior], w[interior], n))
-
     wx, wy = mesh.face_length * mesh.face_normal.T
-    perim = sums(mesh.face_length, 1.0)
-    if np.any(np.hypot(sums(wx, -1.0), sums(wy, -1.0)) > 1e-12 * perim):
+    perim = mesh.cell_sums(mesh.face_length, mesh.face_length)
+    if np.any(np.hypot(mesh.cell_sums(wx, -wx), mesh.cell_sums(wy, -wy))
+              > 1e-12 * perim):
         raise MeshFormatError("cell faces do not close")
 
 

@@ -9,10 +9,13 @@ transport) is algebraically identical and is kept as a test oracle.
 
 import numpy as np
 
-from .acoustic import AcousticResult, _face_cell_sums
+from .acoustic import AcousticResult
 from .exceptions import CFLError, PositivityError
 from .fields import ConservedField, Params, RelaxedField
 from .flux_kernels import FaceFlux
+
+# Largest transport CFL fraction the update accepts (1 up to roundoff).
+TRANSPORT_CFL_LIMIT = 1.0 + 1e-12
 
 
 def transport_cfl_fraction(mesh, fluxes: FaceFlux, dt):
@@ -23,7 +26,7 @@ def transport_cfl_fraction(mesh, fluxes: FaceFlux, dt):
     # Inflow for the owner when u_star < 0; for the neighbor when u_star > 0.
     w_o = np.where(u < 0.0, l * np.abs(u), 0.0)
     w_n = np.where(u > 0.0, l * np.abs(u), 0.0)
-    acc = _face_cell_sums(mesh, w_o, w_n) / mesh.area
+    acc = mesh.cell_sums(w_o, w_n) / mesh.area
     return dt * acc.max() if n else 0.0
 
 
@@ -34,9 +37,14 @@ def _upwind(mesh, fluxes, phi):
                     phi[mesh.face_owner], phi[mesh.face_neighbor])
 
 
-def _check_cfl(mesh, fluxes, dt):
+def _check_cfl(mesh, fluxes, dt, cfl_bound=None):
+    """Raise CFLError when the transport CFL fraction is over the limit;
+    the exact fraction is computed unless ``cfl_bound``, a known upper
+    bound of it, is within the limit."""
+    if cfl_bound is not None and cfl_bound <= TRANSPORT_CFL_LIMIT:
+        return
     frac = transport_cfl_fraction(mesh, fluxes, dt)
-    if frac > 1.0 + 1e-12:
+    if frac > TRANSPORT_CFL_LIMIT:
         raise CFLError(
             f"transport CFL violated: dt*max inflow sum = {frac:.3e} > 1")
 
@@ -60,7 +68,7 @@ def transport(relaxed_1: RelaxedField, fluxes: FaceFlux, mesh, p: Params,
     hu1 = relaxed_1.u * h1[:, None]
 
     lu = mesh.face_length * fluxes.u_star
-    L = 1.0 + dt * _face_cell_sums(mesh, lu, -lu) / mesh.area
+    L = 1.0 + dt * mesh.cell_sums(lu, -lu) / mesh.area
     if np.any(L < 0.0):
         raise CFLError("transport convexity factor L_j became negative")
 
@@ -70,7 +78,7 @@ def transport(relaxed_1: RelaxedField, fluxes: FaceFlux, mesh, p: Params,
                           (hu1[:, 0], out_hu, 0),
                           (hu1[:, 1], out_hu, 1)):
         pf = _upwind(mesh, fluxes, phi)
-        flux_sum = _face_cell_sums(mesh, lu * pf, -lu * pf) / mesh.area
+        flux_sum = mesh.cell_sums(lu * pf, -lu * pf) / mesh.area
         new = L * phi[:n] - dt * flux_sum
         if col is None:
             out[:n] = new
@@ -81,31 +89,37 @@ def transport(relaxed_1: RelaxedField, fluxes: FaceFlux, mesh, p: Params,
 
 
 def combined_update(c_n: ConservedField, acoustic: AcousticResult, mesh,
-                    p: Params, dt) -> ConservedField:
+                    p: Params, dt, cfl_bound=None) -> ConservedField:
     """Single-loop conservative update from time n:
     h^{n+1} = h^n - dt sum sigma h_face u_star;
-    hu^{n+1} = hu^n - dt sum sigma (hu_face u_star + Pi_face n)."""
+    hu^{n+1} = hu^n - dt sum sigma (hu_face u_star + Pi_face n).
+
+    ``cfl_bound`` is a known upper bound of the transport CFL fraction (or
+    the fraction itself); the exact fraction is computed only when it is
+    not given or over the limit.
+    """
     fluxes = acoustic.fluxes
-    _check_cfl(mesh, fluxes, dt)
+    _check_cfl(mesh, fluxes, dt, cfl_bound)
     n = mesh.n_cells
     r1 = acoustic.relaxed
     h1 = 1.0 / r1.tau
-    hu1 = r1.u * h1[:, None]
 
     lu = mesh.face_length * fluxes.u_star
     nx, ny = mesh.face_normal[:, 0], mesh.face_normal[:, 1]
     wL = mesh.face_length * fluxes.pi_star_L
     wR = mesh.face_length * fluxes.pi_star_R
 
-    hf = _upwind(mesh, fluxes, h1)
-    hux = _upwind(mesh, fluxes, hu1[:, 0])
-    huy = _upwind(mesh, fluxes, hu1[:, 1])
+    # h and hu = u h of the upwind cell of each face (w.r.t. the
+    # owner-frame u_star), gathered once.
+    up = np.where(fluxes.u_star >= 0.0, mesh.face_owner, mesh.face_neighbor)
+    h_up = h1[up]
+    fh = lu * h_up
+    fx = lu * (r1.u[:, 0][up] * h_up)
+    fy = lu * (r1.u[:, 1][up] * h_up)
 
-    dh = _face_cell_sums(mesh, lu * hf, -lu * hf) / mesh.area
-    dmx = _face_cell_sums(mesh, lu * hux + wL * nx,
-                          -(lu * hux) - wR * nx) / mesh.area
-    dmy = _face_cell_sums(mesh, lu * huy + wL * ny,
-                          -(lu * huy) - wR * ny) / mesh.area
+    dh = mesh.cell_sums(fh, -fh) / mesh.area
+    dmx = mesh.cell_sums(fx + wL * nx, -fx - wR * nx) / mesh.area
+    dmy = mesh.cell_sums(fy + wL * ny, -fy - wR * ny) / mesh.area
 
     out_h = c_n.h.copy()
     out_hu = c_n.hu.copy()

@@ -43,6 +43,7 @@ def test_criterion_05_low_froude_correction(check):
     check(acceptance.criterion_5_low_froude())
 
 
+@pytest.mark.slow
 def test_criterion_06_imex_step_count(check):
     check(acceptance.criterion_6_imex_step_count())
 

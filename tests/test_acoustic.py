@@ -215,3 +215,15 @@ def test_ghosts_refreshed_after_explicit_step():
     n = mesh.n_cells
     assert np.array_equal(ac.relaxed.tau[n:], ac.relaxed.tau[state.donor])
     assert np.array_equal(ac.relaxed.pi[n:], ac.relaxed.pi[state.donor])
+
+
+def test_explicit_step_without_pi_update():
+    # the driver's EXEX path skips the Pi update, which the combined update
+    # does not read; tau and u must be those of the full step
+    p, mesh, state, r = _setup(bc=BoundaryCondition.periodic_all())
+    full = explicit_acoustic(r, mesh, state.topo, p, 1e-4, donor=state.donor)
+    lean = explicit_acoustic(r, mesh, state.topo, p, 1e-4, donor=state.donor,
+                             update_pi=False)
+    assert lean.relaxed.pi is None
+    assert np.array_equal(lean.relaxed.tau, full.relaxed.tau)
+    assert np.array_equal(lean.relaxed.u, full.relaxed.u)

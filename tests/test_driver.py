@@ -5,11 +5,13 @@ import lpswe.acoustic as acoustic
 import lpswe.driver as drv
 from lpswe import mesh as meshmod
 from lpswe.driver import (BoundaryCondition, apply_bc, build_donor, dt_exex,
-                          dt_imex, ghost_topography, run, run_steps)
+                          dt_imex, ghost_topography, prepare_state, run,
+                          run_steps)
 from lpswe.exceptions import ConfigError, PositivityError, SolverError
 from lpswe.fields import ConservedField, Params, Topography, to_relaxed
 from lpswe.flux_kernels import evaluate_face_fluxes
-from lpswe.scenarios import bump_topography, get_scenario
+from lpswe.scenarios import bump_topography, dam_break, get_scenario
+from lpswe.transport import combined_update, transport_cfl_fraction
 
 
 def test_bc_validation():
@@ -203,3 +205,73 @@ def test_positivity_error_keeps_cell_and_step():
             as exc:
         run(mesh, Topography(np.zeros(16)), ic, BoundaryCondition(), p, 0.01)
     assert exc.value.cell == 5
+
+
+def _reference_advance(state, dt_max):
+    """The driver's step with every CFL check exact: time-n fluxes, the
+    scheme's dt, the acoustic step (Pi updated) and the combined update,
+    no bound passed."""
+    mesh, p = state.mesh, state.params
+    apply_bc(state.conserved, mesh, state.donor)
+    r = to_relaxed(state.conserved, p, n_interior=mesh.n_cells)
+    h_n = state.conserved.h
+    fluxes_n = evaluate_face_fluxes(mesh, r.u, r.pi, h_n, state.topo.z, p)
+    if p.scheme == "EXEX":
+        dt = dt_exex(mesh, r.tau, fluxes_n, p, dt_max)
+        ac = acoustic.explicit_acoustic(r, mesh, state.topo, p, dt,
+                                        fluxes=fluxes_n, h_n=h_n,
+                                        cfl_strict=True, donor=state.donor)
+        assert ac.relaxed.pi is not None
+    else:
+        if state.next_dt is None:
+            state.next_dt = dt_exex(mesh, r.tau, fluxes_n, p, dt_max)
+        dt = state.next_dt
+        for _ in range(20):
+            try:
+                ac = acoustic.implicit_acoustic(r, mesh, state.topo, p, dt,
+                                                state.donor,
+                                                fluxes_n=fluxes_n, h_n=h_n)
+            except PositivityError as exc:
+                dt = min(0.5 * dt, exc.suggested_dt or 0.5 * dt)
+                continue
+            frac = transport_cfl_fraction(mesh, ac.fluxes, dt)
+            if frac <= 1.0:
+                break
+            dt = p.k_cfl * dt / frac
+        else:
+            pytest.fail("IMEX step rejected repeatedly")
+        state.next_dt = dt_imex(mesh, ac.fluxes, p, dt_max)
+    state.conserved = combined_update(state.conserved, ac, mesh, p, dt)
+    return dt
+
+
+def _periodic_quads():
+    mesh = meshmod.build_cartesian(12, 10)
+    rng = np.random.default_rng(7)
+    h = rng.uniform(0.8, 1.2, mesh.n_cells)
+    hu = rng.normal(scale=0.3, size=(mesh.n_cells, 2))
+    return (mesh, bump_topography(mesh.centroid[:, 0]),
+            ConservedField(h, hu), BoundaryCondition.periodic_all())
+
+
+def _neumann_triangles_dam_break():
+    mesh = meshmod.build_triangulated(10, 10)
+    z = bump_topography(mesh.centroid[:, 0])
+    return (mesh, z, dam_break(mesh.centroid[:, 0], z), BoundaryCondition())
+
+
+@pytest.mark.parametrize("scheme", ["EXEX", "IMEX"])
+@pytest.mark.parametrize("case", [_periodic_quads,
+                                  _neumann_triangles_dam_break])
+def test_advance_bitwise_equals_exact_check_stepper(case, scheme):
+    # advance() skips the Pi update and the CFL passes its dt bound makes
+    # redundant; h and hu must not change by a single bit
+    mesh, z, ic, bc = case()
+    p = Params(scheme=scheme)
+    state = prepare_state(mesh, Topography(z), ic, bc, p)
+    ref = prepare_state(mesh, Topography(z), ic, bc, p)
+    for _ in range(25):
+        dt = drv.advance(state, np.inf, 0.01)
+        assert _reference_advance(ref, 0.01) == dt
+    assert np.array_equal(state.conserved.h, ref.conserved.h)
+    assert np.array_equal(state.conserved.hu, ref.conserved.hu)

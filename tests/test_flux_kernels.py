@@ -132,3 +132,40 @@ def test_face_flux_galilean_consistency_at_rest():
                        rtol=0, atol=1e-15)
     assert np.allclose(f.pi_star_L, 19.62, rtol=1e-15)
     assert np.allclose(f.pi_star_R, 19.62, rtol=1e-15)
+
+
+def test_given_sound_speeds_match_computed_ones():
+    # evaluate_face_fluxes takes sqrt(g h) once per cell and passes it in;
+    # the kernels must give the same bits as when they take it themselves
+    rng = np.random.default_rng(4)
+    hl, hr = rng.uniform(0.1, 5.0, (2, 40))
+    us = rng.normal(size=40)
+    p = Params()
+    cl, cr = np.sqrt(p.g * hl), np.sqrt(p.g * hr)
+    assert np.array_equal(impedance(hl, hr, p, cl, cr), impedance(hl, hr, p))
+    assert np.array_equal(theta_policy(us, hl, hr, p, cl, cr),
+                          theta_policy(us, hl, hr, p))
+
+
+@pytest.mark.parametrize("cell", [0, 1, 2])
+def test_face_fluxes_reject_dry_cell(cell):
+    # cells 0 and 1 are interior, 2 is the first ghost
+    m, _ = _two_cell_mesh(0.0)
+    n = m.n_total
+    h = np.ones(n)
+    h[cell] = 0.0
+    with pytest.raises(ValueError, match="non-positive depth"):
+        evaluate_face_fluxes(m, np.zeros((n, 2)), np.ones(n), h,
+                             np.zeros(n), Params())
+
+
+def test_face_fluxes_carry_time_n_source_bracket():
+    p = Params()
+    m, _ = _two_cell_mesh(0.4)
+    rng = np.random.default_rng(2)
+    n = m.n_total
+    h, z = rng.uniform(0.5, 2.0, n), rng.uniform(0.0, 0.3, n)
+    f = evaluate_face_fluxes(m, rng.normal(size=(n, 2)), np.ones(n), h, z, p)
+    o, nb = m.face_owner, m.face_neighbor
+    assert np.array_equal(f.src, hydrostatic_source(h[o], h[nb], z[o], z[nb],
+                                                    p.g))

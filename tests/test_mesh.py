@@ -56,6 +56,25 @@ def test_sigma_right_triangle():
             2.0 * np.sqrt(2.0), rel=1e-14)
 
 
+def test_perimeter_ratio_right_triangle(monkeypatch):
+    # legs 1 and 1, hypotenuse sqrt(2), area 1/2, for both triangles; the
+    # ratio is computed on first use and then kept
+    m = meshmod.build_triangulated(1, 1)
+    calls = []
+    cell_sums = meshmod.Mesh.cell_sums
+
+    def counted(self, *args):
+        calls.append(self)
+        return cell_sums(self, *args)
+
+    monkeypatch.setattr(meshmod.Mesh, "cell_sums", counted)
+    ratio = m.perimeter_ratio
+    assert ratio == pytest.approx([(2.0 + np.sqrt(2.0)) / 0.5] * 2,
+                                  rel=1e-15)
+    assert m.perimeter_ratio is ratio
+    assert calls == [m]
+
+
 def test_boundary_sides_classification():
     m = meshmod.build_cartesian(4, 4)
     sides = m.boundary_sides()
