@@ -150,35 +150,40 @@ def explicit_acoustic(r: RelaxedField, mesh, topo, p: Params, dt,
 
 @dataclass
 class ImplicitPattern:
-    """CSR structure of the implicit matrix for one mesh and donor map.
+    """CSR structure of the implicit matrix for one mesh and donor map,
+    and the constant map from per-face scalars to its values.
 
-    ``owner_pos`` holds the data position of each Jacobian entry
-    ``vals[owner_mask]`` in the owner rows, ``neighbor_pos`` that of each
-    ``vals[neighbor_mask]`` in the interior-neighbor rows (``vals`` as in
-    ``assemble_implicit``, face x 3 fluxes x 6 columns), and ``diag`` the
-    position of each diagonal entry.
+    Row p of ``S`` belongs to the stored entry at data position p: it holds
+    the geometric factor +-l w_c w_k / 2 of each face that contributes to
+    that entry, in the column q * n_faces + f of scalar q of face f (the
+    scalars as in ``assemble_implicit``).  ``diag`` is the position of each
+    diagonal entry.
     """
 
     indptr: np.ndarray
     indices: np.ndarray
     diag: np.ndarray
-    owner_mask: np.ndarray
-    owner_pos: np.ndarray
-    neighbor_mask: np.ndarray
-    neighbor_pos: np.ndarray
+    S: sp.csr_matrix
+
+
+# Entry (c, k) = (e // 3, e % 3) of a face's 3x3 Jacobian block takes the
+# face scalar _SCALAR[e] of (theta a, 1, a^2, a); in the columns of the
+# neighbor cell the theta a and a entries change sign.
+_SCALAR = np.array([0, 0, 1, 0, 0, 1, 2, 2, 3])
+_SIGN_M = np.where((_SCALAR == 0) | (_SCALAR == 3), -1.0, 1.0)
 
 
 def implicit_pattern(mesh, donor) -> ImplicitPattern:
-    """Derive the sparsity of A = I + kron(T D, I3) F from the mesh and the
-    ghost donors.
+    """Derive the sparsity of A = I + kron(T D, I3) F, and the map from the
+    face scalars to the values of D F, from the mesh and the ghost donors.
 
     Face f couples the cells o (owner) and m (neighbor, or the donor of its
     ghost) in the 3x3 blocks (o, o), (o, m), (nb, o) and (nb, nb), the last
     two for an interior neighbor nb only.  Its entry in row unknown c and
-    column unknown k (0: u1, 1: u2, 2: Pi) carries the factor w_c w_k with
-    w = (n_x, n_y, 1), so it is zero by geometry when that factor is.  A
-    block entry is stored when some face gives it a nonzero factor, or when
-    it is on the diagonal.
+    column unknown k (0: u1, 1: u2, 2: Pi) is +-l w_c w_k / 2 with
+    w = (n_x, n_y, 1) times one face scalar, so it is zero by geometry when
+    w_c w_k is.  A block entry is stored when some face gives it a nonzero
+    factor, or when it is on the diagonal.
     """
     n, nf = mesh.n_cells, mesh.n_faces
     o, nb = mesh.face_owner, mesh.face_neighbor
@@ -197,9 +202,9 @@ def implicit_pattern(mesh, donor) -> ImplicitPattern:
 
     # Stored entries of each block, as bits c*3 + k: the union over its
     # slots of the faces' nonzero factors, plus the diagonal.
-    w = np.column_stack([mesh.face_normal != 0.0, np.ones(nf, bool)])
-    geo = w[:, :, None] & w[:, None, :]                       # (nf, 3, 3)
-    bits = geo.reshape(nf, 9) @ (1 << np.arange(9))
+    w = np.column_stack([mesh.face_normal, np.ones(nf)])
+    geo = ((w[:, :, None] != 0.0) & (w[:, None, :] != 0.0)).reshape(nf, 9)
+    bits = geo @ (1 << np.arange(9))
     block_bits = np.zeros(len(keys), bits.dtype)
     np.bitwise_or.at(block_bits, block,
                      np.concatenate([bits, bits, bits[inner], bits[inner]]))
@@ -208,26 +213,36 @@ def implicit_pattern(mesh, donor) -> ImplicitPattern:
     stored = (block_bits[:, None] >> np.arange(9)) & 1 == 1
 
     indptr, indices, pos = _csr_layout(keys // n, keys % n, stored, n)
+    del keys, bits, block_bits, stored   # freed early: lowers the peak
 
-    # Data position of each Jacobian entry (face, flux c, column k of o,
-    # then of m) in the owner rows and in the interior-neighbor rows.
-    def entry_pos(first, second, mask):
-        return np.concatenate([pos[block[first]].reshape(-1, 3, 3),
-                               pos[block[second]].reshape(-1, 3, 3)],
-                              axis=2)[mask]
-
+    # S, one slot at a time: the owner rows take the face's entries with
+    # sign +, the interior-neighbor rows with sign -; in the columns of m
+    # the theta a and a entries take one more sign.  Where m == o (a
+    # zero-gradient ghost) both columns land on one entry and are summed.
     ni = len(inner)
-    owner_mask = np.concatenate([geo, geo], axis=2)
-    neighbor_mask = owner_mask.copy()
-    neighbor_mask[ghost] = False
-    return ImplicitPattern(
-        indptr=indptr, indices=indices,
-        diag=pos[diag_block][:, [0, 4, 8]].ravel(),
-        owner_mask=owner_mask,
-        owner_pos=entry_pos(slice(nf), slice(nf, 2 * nf), owner_mask),
-        neighbor_mask=neighbor_mask,
-        neighbor_pos=entry_pos(slice(2 * nf, 2 * nf + ni),
-                               slice(2 * nf + ni, None), owner_mask[inner]))
+    every = np.arange(nf)
+    slots = ((every, block[:nf], np.ones(9)),
+             (every, block[nf:2 * nf], _SIGN_M),
+             (inner, block[2 * nf:2 * nf + ni], -np.ones(9)),
+             (inner, block[2 * nf + ni:], -_SIGN_M))
+    size = 2 * (np.count_nonzero(geo) + np.count_nonzero(geo[inner]))
+    rows = np.empty(size, np.int32)
+    cols = np.empty(size, np.int32)
+    vals = np.empty(size)
+    start = 0
+    for faces, slot_block, sign in slots:
+        i, e = np.nonzero(geo[faces])
+        f = faces[i]
+        stop = start + len(f)
+        rows[start:stop] = pos[slot_block[i], e]
+        cols[start:stop] = _SCALAR[e] * nf + f
+        vals[start:stop] = (0.5 * sign[e] * mesh.face_length[f]
+                            * w[f, e // 3] * w[f, e % 3])
+        start = stop
+    diag = pos[diag_block][:, [0, 4, 8]].ravel()
+    del pos, geo, i, e, f   # freed before the CSR conversion
+    S = sp.csr_matrix((vals, (rows, cols)), shape=(len(indices), 4 * nf))
+    return ImplicitPattern(indptr=indptr, indices=indices, diag=diag, S=S)
 
 
 def _csr_layout(brow, bcol, stored, n):
@@ -274,7 +289,8 @@ def assemble_implicit(r: RelaxedField, mesh, topo, p: Params, dt,
 
     The structure of A comes from ``pattern`` (``implicit_pattern`` of the
     same mesh and donors, built here when not given); only its values are
-    computed per call.
+    computed per call, as T * (S d) with the face scalars
+    d = (theta a, 1, a^2, a), plus 1 on the diagonal.
     """
     n = mesh.n_cells
     if h_n is None:
@@ -285,49 +301,26 @@ def assemble_implicit(r: RelaxedField, mesh, topo, p: Params, dt,
         pattern = implicit_pattern(mesh, donor)
     # Frozen time-n impedance, theta and source bracket.
     a, theta, src = fluxes_n.a, fluxes_n.theta, fluxes_n.src
-    o, nb = mesh.face_owner, mesh.face_neighbor
 
-    nf = mesh.n_faces
-    nx, ny = mesh.face_normal[:, 0], mesh.face_normal[:, 1]
-    length = mesh.face_length
-    # Face f holds 3 x 6 Jacobian entries: length times n_x dPi_face,
-    # n_y dPi_face and a^2 du_star, in the columns (u1, u2, Pi) of o, then
-    # of m.  Where m == o (a zero-gradient ghost) both land on one entry.
-    ta = 0.5 * theta * a
-    half = np.full(nf, 0.5)
-    dpi = np.stack([ta * nx, ta * ny, half, -ta * nx, -ta * ny, half], 1)
-    dus = np.stack([0.5 * nx, 0.5 * ny, 0.5 / a,
-                    0.5 * nx, 0.5 * ny, -0.5 / a], 1)
-    vals = np.stack([(length * nx)[:, None] * dpi,
-                     (length * ny)[:, None] * dpi,
-                     (length * a * a)[:, None] * dus], 1)
-
-    # T D F: the rows of cell j carry T_j = dt tau_j / |K_j| times the
-    # entries of its faces, + as owner and - as interior neighbor.  Each
-    # entry is scaled before the sum, as in the product (T D) F, so that
-    # the sums that cancel exactly there (closure sums of l n over a cell)
-    # cancel here too and are dropped as zeros.
-    T = np.zeros(mesh.n_total)
-    T[:n] = dt * r.tau[:n] / mesh.area
-    nnz = len(pattern.indices)
-    data = np.bincount(
-        pattern.owner_pos, minlength=nnz,
-        weights=(T[o][:, None, None] * vals)[pattern.owner_mask])
-    data -= np.bincount(
-        pattern.neighbor_pos, minlength=nnz,
-        weights=(T[nb][:, None, None] * vals)[pattern.neighbor_mask])
+    # T D F: S sums each entry of D F over its faces, and the rows of cell j
+    # carry T_j = dt tau_j / |K_j| times that sum (the entries of its three
+    # rows are contiguous in data).
+    T = dt * r.tau[:n] / mesh.area
+    data = pattern.S @ np.concatenate([theta * a, np.ones(mesh.n_faces),
+                                       a * a, a])
+    data *= np.repeat(T, np.diff(pattern.indptr[::3]))
     data[pattern.diag] += 1.0
     A = sp.csr_matrix((data, pattern.indices.copy(), pattern.indptr.copy()),
                       shape=(3 * n, 3 * n))
     A.eliminate_zeros()
 
     x0 = np.column_stack([r.u[:n], r.pi[:n]]).ravel()
-    hs = 0.5 * length * src
+    hs = 0.5 * mesh.face_length * src
+    nx, ny = mesh.face_normal.T
     wx, wy, wa = nx * hs, ny * hs, a * hs
-    Tn = T[:n]
-    b = x0 - np.column_stack([Tn * mesh.cell_sums(wx, wx),
-                              Tn * mesh.cell_sums(wy, wy),
-                              -Tn * mesh.cell_sums(wa, -wa)]).ravel()
+    b = x0 - np.column_stack([T * mesh.cell_sums(wx, wx),
+                              T * mesh.cell_sums(wy, wy),
+                              -T * mesh.cell_sums(wa, -wa)]).ravel()
     return LinearSystem(A=A, b=b, x0=x0, n_cells=n, dt=dt)
 
 

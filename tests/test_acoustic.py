@@ -4,7 +4,7 @@ import pytest
 from lpswe import mesh as meshmod
 from lpswe.acoustic import (acoustic_cfl_fraction, assemble_implicit,
                             explicit_acoustic, implicit_acoustic,
-                            solve_implicit)
+                            implicit_pattern, solve_implicit)
 from lpswe.driver import BoundaryCondition, apply_bc, prepare_state
 from lpswe.exceptions import CFLError, PositivityError, SolverError
 from lpswe.fields import (ConservedField, Params, RelaxedField, Topography,
@@ -118,12 +118,11 @@ def test_implicit_lake_at_rest_fixed_point():
     assert np.max(np.abs(system.A @ x - system.b)) < 1e-12
 
 
-def _check_implicit_operator_against_explicit(build, nx, ny, bc):
+def _check_implicit_operator_against_explicit(mesh, bc):
     # A x - b = (x - x^n) + dt T D F(x) and the explicit update is
     # E(x) = x - dt T D F(x), with the fluxes F at x and the time-n theta:
     # so A x - b = 2x - x^n - E(x) for any state x
     p = Params(scheme="IMEX")
-    mesh = build(nx, ny)
     z = bump_topography(mesh.centroid[:, 0])
     ic = dam_break(mesh.centroid[:, 0], z)
     # time-n motion, so that theta is nonzero on most faces
@@ -159,7 +158,7 @@ def _check_implicit_operator_against_explicit(build, nx, ny, bc):
 def test_implicit_operator_matches_explicit_kernels():
     # interior and periodic couplings on triangles
     _check_implicit_operator_against_explicit(
-        meshmod.build_triangulated, 8, 8, BoundaryCondition.periodic_all())
+        meshmod.build_triangulated(8, 8), BoundaryCondition.periodic_all())
 
 
 @pytest.mark.parametrize("build, nx, ny, bc", [
@@ -169,10 +168,15 @@ def test_implicit_operator_matches_explicit_kernels():
     (meshmod.build_cartesian, 5, 1, BoundaryCondition.periodic_x()),
     # neumann ghosts on every side
     (meshmod.build_triangulated, 5, 4, BoundaryCondition()),
-], ids=["quad6x2-periodic", "quad5x1-periodic_x", "tri5x4-neumann"])
+    # triangles, quads and a pentagon (the mixed_mesh fixture)
+    ("mixed", 0, 0, BoundaryCondition()),
+    ("mixed", 0, 0, BoundaryCondition.periodic_all()),
+], ids=["quad6x2-periodic", "quad5x1-periodic_x", "tri5x4-neumann",
+        "mixed-neumann", "mixed-periodic"])
 def test_implicit_operator_matches_explicit_kernels_ghost_layouts(
-        build, nx, ny, bc):
-    _check_implicit_operator_against_explicit(build, nx, ny, bc)
+        build, nx, ny, bc, mixed_mesh):
+    mesh = mixed_mesh if build == "mixed" else build(nx, ny)
+    _check_implicit_operator_against_explicit(mesh, bc)
 
 
 def test_solver_residual_contract():
@@ -182,6 +186,23 @@ def test_solver_residual_contract():
     res = np.linalg.norm(system.A @ np.ravel(
         np.column_stack([u, pi])) - system.b)
     assert res <= 1e-10 * np.linalg.norm(system.b)
+
+
+def test_assembly_leaves_pattern_unchanged():
+    # eliminate_zeros compacts A's index arrays in place; the pattern that
+    # a run reuses over its attempts must not share them
+    p, mesh, state, r = _setup(scheme="IMEX")
+    pattern = implicit_pattern(mesh, state.donor)
+    first = assemble_implicit(r, mesh, state.topo, p, 0.01, state.donor,
+                              pattern=pattern).A
+    assert first.nnz < len(pattern.indices)
+    A = assemble_implicit(r, mesh, state.topo, p, 0.02, state.donor,
+                          pattern=pattern).A
+    fresh = assemble_implicit(r, mesh, state.topo, p, 0.02, state.donor,
+                              pattern=implicit_pattern(mesh, state.donor)).A
+    assert np.array_equal(A.indptr, fresh.indptr)
+    assert np.array_equal(A.indices, fresh.indices)
+    assert np.array_equal(A.data, fresh.data)
 
 
 def test_solver_rejects_bad_tol():

@@ -26,51 +26,17 @@ from lpswe.scenarios import bump_topography
 from lpswe.transport import (TRANSPORT_CFL_LIMIT, combined_update,
                              transport_cfl_fraction)
 
-# Unit square: a convex pentagon in the middle, ringed by quads and
-# triangles; the boundary vertices sit at 0, 1/2 and 1 on every side, so
-# the boundary faces pair up for periodic conditions.
-MIXED_SWMESH = """SWMESH 1
-13 11
-0 0
-0.5 0
-1 0
-1 0.5
-1 1
-0.5 1
-0 1
-0 0.5
-0.5 0.15
-0.8 0.4
-0.65 0.8
-0.35 0.8
-0.2 0.4
-5 8 9 10 11 12
-4 0 1 8 12
-3 1 2 9
-3 1 9 8
-3 2 3 9
-4 3 4 10 9
-3 4 5 10
-3 5 11 10
-3 5 6 11
-4 6 7 12 11
-3 7 0 12
-"""
-
 BCS = {"neumann": BoundaryCondition(),
        "periodic": BoundaryCondition.periodic_all()}
 
 
 @pytest.fixture(scope="module")
-def meshes(tmp_path_factory):
-    path = tmp_path_factory.mktemp("mesh") / "mixed.swmesh"
-    path.write_text(MIXED_SWMESH)
-    mixed = meshmod.read_mesh(path)
-    assert sorted(np.diff(mixed.cell_offsets)) == [3] * 7 + [4] * 3 + [5]
-    assert mixed.area.sum() == pytest.approx(1.0, rel=1e-14)
+def meshes(mixed_mesh):
+    assert sorted(np.diff(mixed_mesh.cell_offsets)) == [3] * 7 + [4] * 3 + [5]
+    assert mixed_mesh.area.sum() == pytest.approx(1.0, rel=1e-14)
     return {"cartesian": meshmod.build_cartesian(5, 4),
             "triangulated": meshmod.build_triangulated(4, 5),
-            "mixed": mixed}
+            "mixed": mixed_mesh}
 
 
 def _state(mesh, bc, h, hu):

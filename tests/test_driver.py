@@ -4,6 +4,7 @@ import pytest
 import lpswe.acoustic as acoustic
 import lpswe.driver as drv
 from lpswe import mesh as meshmod
+from lpswe.acceptance import lake_at_rest_errors
 from lpswe.driver import (BoundaryCondition, apply_bc, build_donor, dt_exex,
                           dt_imex, ghost_topography, prepare_state, run,
                           run_steps)
@@ -108,6 +109,44 @@ def test_run_reaches_final_time_exactly():
     assert rep.t_final == pytest.approx(0.037, rel=1e-12)
     assert rep.steps == len(rep.dt_history)
     assert rep.steps >= 10  # dt_max = tf/10 caps the step size
+
+
+def test_max_froude_matches_per_cell_formula():
+    # run() tracks max |hu|^2 / h^3 and takes one sqrt at the end; the
+    # per-cell Froude number |hu| / h / sqrt(g h) must give the same max
+    p = Params()
+    sc = get_scenario("vortex_flat")
+    mesh = meshmod.build_cartesian(16, 16, sc.domain)
+    topo, ic = sc.build(mesh, p)
+    n = mesh.n_cells
+    per_step = []
+
+    def per_cell(state, dt):
+        h = state.conserved.h[:n]
+        speed = np.hypot(state.conserved.hu[:n, 0],
+                         state.conserved.hu[:n, 1]) / h
+        per_step.append(np.max(speed / np.sqrt(p.g * h)))
+
+    rep = run(mesh, topo, ic, sc.bc, p, 0.01, callback=per_cell)
+    assert len(per_step) == rep.steps >= 10
+    assert rep.max_froude > 0.0
+    assert rep.max_froude == pytest.approx(max(per_step), rel=1e-14)
+
+
+@pytest.mark.parametrize("scheme", ["EXEX", "IMEX"])
+def test_lake_at_rest_on_mixed_mesh(mixed_mesh, scheme):
+    # criterion 1 on triangles, quads and a pentagon, with its bounds
+    p = Params(scheme=scheme)
+    sc = get_scenario("lake_at_rest")
+    topo, ic = sc.build(mixed_mesh, p)
+    rep = run(mixed_mesh, topo, ic, sc.bc, p, 0.1)
+    assert rep.t_final == pytest.approx(0.1, rel=1e-12)
+    surf_err, u_err = lake_at_rest_errors(mixed_mesh, topo, rep.final)
+    if scheme == "EXEX":
+        assert surf_err <= 1e-14
+        assert u_err <= 1e-11
+    else:
+        assert u_err <= 1e-6
 
 
 def test_run_steps_advances_fixed_count():
