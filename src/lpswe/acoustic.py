@@ -9,7 +9,6 @@ which keeps the system linear.  tau is back-substituted from the solved
 interface velocities in both cases.
 """
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,9 +85,8 @@ def _tau_update(mesh, tau, dt, fluxes):
 
 
 def explicit_acoustic(r: RelaxedField, mesh, topo, p: Params, dt,
-                      fluxes: FaceFlux = None, h_n=None,
-                      cfl_strict=False, donor=None, cfl_bound=None,
-                      update_pi=True) -> AcousticResult:
+                      fluxes: FaceFlux = None, h_n=None, donor=None,
+                      cfl_bound=None, update_pi=True) -> AcousticResult:
     """One explicit acoustic step (sharp level = n).
 
     ``fluxes`` may be passed in when the time-n fluxes were already
@@ -99,10 +97,10 @@ def explicit_acoustic(r: RelaxedField, mesh, topo, p: Params, dt,
     boundaries.
 
     ``cfl_bound`` is a known upper bound of the acoustic CFL fraction at
-    this dt; the exact fraction is computed (and checked) only when no
-    bound is given or the bound is over the limit.  With ``update_pi``
-    False the Pi update is skipped and the result's ``relaxed.pi`` is None
-    (the combined update does not read it).
+    this dt; the exact fraction is computed only when no bound is given or
+    the bound is over the limit, and a fraction over 1/2 raises CFLError.
+    With ``update_pi`` False the Pi update is skipped and the result's
+    ``relaxed.pi`` is None (the combined update does not read it).
     """
     n = mesh.n_cells
     if h_n is None:
@@ -113,11 +111,8 @@ def explicit_acoustic(r: RelaxedField, mesh, topo, p: Params, dt,
     if cfl_bound is None or not cfl_bound <= ACOUSTIC_CFL_LIMIT:
         frac = acoustic_cfl_fraction(mesh, r.tau, fluxes, dt)
         if frac > ACOUSTIC_CFL_LIMIT:
-            msg = (f"acoustic CFL violated: dt*max(tau*sigma*a) = "
-                   f"{frac:.3e} > 1/2")
-            if cfl_strict:
-                raise CFLError(msg)
-            warnings.warn(msg, stacklevel=2)
+            raise CFLError(f"acoustic CFL violated: dt*max(tau*sigma*a) = "
+                           f"{frac:.3e} > 1/2")
 
     tau1 = _tau_update(mesh, r.tau, dt, fluxes)
 
@@ -182,7 +177,7 @@ def implicit_pattern(mesh, donor) -> ImplicitPattern:
     two for an interior neighbor nb only.  Its entry in row unknown c and
     column unknown k (0: u1, 1: u2, 2: Pi) is +-l w_c w_k / 2 with
     w = (n_x, n_y, 1) times one face scalar, so it is zero by geometry when
-    w_c w_k is.  A block entry is stored when some face gives it a nonzero
+    w_c w_k is.  An entry is stored when some face gives it a nonzero
     factor, or when it is on the diagonal.
     """
     n, nf = mesh.n_cells, mesh.n_faces
@@ -191,80 +186,55 @@ def implicit_pattern(mesh, donor) -> ImplicitPattern:
     m = nb.copy()
     ghost = nb >= n
     m[ghost] = donor[nb[ghost] - n]
-
-    # Blocks by (row cell, column cell) key, in CSR order; block[s] is the
-    # block of slot s: (o, o), (o, m) of every face, then (nb, o), (nb, nb)
-    # of the interior faces.
-    keys, block = np.unique(
-        np.concatenate([o, o, nb[inner], nb[inner]]).astype(np.int64) * n
-        + np.concatenate([o, m, o[inner], nb[inner]]), return_inverse=True)
-    block = block.astype(np.int32)
-
-    # Stored entries of each block, as bits c*3 + k: the union over its
-    # slots of the faces' nonzero factors, plus the diagonal.
     w = np.column_stack([mesh.face_normal, np.ones(nf)])
     geo = ((w[:, :, None] != 0.0) & (w[:, None, :] != 0.0)).reshape(nf, 9)
-    bits = geo @ (1 << np.arange(9))
-    block_bits = np.zeros(len(keys), bits.dtype)
-    np.bitwise_or.at(block_bits, block,
-                     np.concatenate([bits, bits, bits[inner], bits[inner]]))
-    diag_block = np.searchsorted(keys, np.arange(n) * (n + 1))
-    block_bits[diag_block] |= 0b100010001
-    stored = (block_bits[:, None] >> np.arange(9)) & 1 == 1
 
-    indptr, indices, pos = _csr_layout(keys // n, keys % n, stored, n)
-    del keys, bits, block_bits, stored   # freed early: lowers the peak
-
-    # S, one slot at a time: the owner rows take the face's entries with
-    # sign +, the interior-neighbor rows with sign -; in the columns of m
-    # the theta a and a entries take one more sign.  Where m == o (a
-    # zero-gradient ghost) both columns land on one entry and are summed.
-    ni = len(inner)
+    # One key row * 3n + col per nonzero contribution, slot by slot: the
+    # owner rows take the face's entries with sign +, the interior-neighbor
+    # rows with sign -; in the columns of m the theta a and a entries take
+    # one more sign.  The 3n diagonal keys follow.
+    N = 3 * n
     every = np.arange(nf)
-    slots = ((every, block[:nf], np.ones(9)),
-             (every, block[nf:2 * nf], _SIGN_M),
-             (inner, block[2 * nf:2 * nf + ni], -np.ones(9)),
-             (inner, block[2 * nf + ni:], -_SIGN_M))
+    slots = ((every, o, o, np.ones(9)),
+             (every, o, m, _SIGN_M),
+             (inner, nb, o, -np.ones(9)),
+             (inner, nb, nb, -_SIGN_M))
     size = 2 * (np.count_nonzero(geo) + np.count_nonzero(geo[inner]))
-    rows = np.empty(size, np.int32)
+    keys = np.empty(size + N, np.int64)
     cols = np.empty(size, np.int32)
     vals = np.empty(size)
     start = 0
-    for faces, slot_block, sign in slots:
+    for faces, row_cell, col_cell, sign in slots:
         i, e = np.nonzero(geo[faces])
         f = faces[i]
         stop = start + len(f)
-        rows[start:stop] = pos[slot_block[i], e]
+        keys[start:stop] = ((3 * row_cell[f] + e // 3) * N
+                            + 3 * col_cell[f] + e % 3)
         cols[start:stop] = _SCALAR[e] * nf + f
         vals[start:stop] = (0.5 * sign[e] * mesh.face_length[f]
                             * w[f, e // 3] * w[f, e % 3])
         start = stop
-    diag = pos[diag_block][:, [0, 4, 8]].ravel()
-    del pos, geo, i, e, f   # freed before the CSR conversion
-    S = sp.csr_matrix((vals, (rows, cols)), shape=(len(indices), 4 * nf))
+    keys[size:] = np.arange(N) * (N + 1)
+    del geo, i, e, f   # freed before the sort: lowers the peak
+
+    # Sorted, each run of equal keys is one stored entry, in CSR order; the
+    # entry of a key is the number of runs starting up to it, less one.
+    order = np.argsort(keys)
+    keys = keys[order]
+    first = np.empty(len(keys), bool)
+    first[0] = True
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    pos = np.empty(len(keys), np.int32)
+    pos[order] = np.cumsum(first, dtype=np.int32) - 1
+    del order   # freed before the CSR conversion
+    keys = keys[first]
+    indptr = np.searchsorted(keys, np.arange(N + 1) * N).astype(np.int32)
+    indices = (keys % N).astype(np.int32)
+    diag = pos[size:].copy()
+    # Where m == o (a zero-gradient ghost) slots 0 and 1 give one entry the
+    # same column twice; the CSR conversion sums them.
+    S = sp.csr_matrix((vals, (pos[:size], cols)), shape=(len(indices), 4 * nf))
     return ImplicitPattern(indptr=indptr, indices=indices, diag=diag, S=S)
-
-
-def _csr_layout(brow, bcol, stored, n):
-    """indptr, indices and data positions of the stored entries of 3x3
-    blocks: block b sits at block row brow[b] and block column bcol[b], its
-    entry (c, k) is stored where stored[b, 3c + k], and pos[b, 3c + k] is
-    the data position of that entry.
-
-    np.nonzero lists the entries by block, then c, then k, and the blocks
-    are sorted by (brow, bcol); a stable sort by matrix row then keeps the
-    columns in order within each row.
-    """
-    b, c, k = np.nonzero(stored.reshape(-1, 3, 3))
-    rows = 3 * brow[b] + c
-    order = np.argsort(rows, kind="stable")
-    indptr = np.zeros(3 * n + 1, np.int32)
-    np.cumsum(np.bincount(rows, minlength=3 * n), out=indptr[1:])
-    indices = (3 * bcol[b] + k)[order].astype(np.int32)
-    del b, c, k, rows      # freed early: lowers the build's peak memory
-    pos = np.full(stored.size, -1, np.int32)
-    pos[np.flatnonzero(stored)[order]] = np.arange(len(order), dtype=np.int32)
-    return indptr, indices, pos.reshape(stored.shape)
 
 
 def assemble_implicit(r: RelaxedField, mesh, topo, p: Params, dt,
@@ -310,9 +280,8 @@ def assemble_implicit(r: RelaxedField, mesh, topo, p: Params, dt,
                                        a * a, a])
     data *= np.repeat(T, np.diff(pattern.indptr[::3]))
     data[pattern.diag] += 1.0
-    A = sp.csr_matrix((data, pattern.indices.copy(), pattern.indptr.copy()),
+    A = sp.csr_matrix((data, pattern.indices, pattern.indptr),
                       shape=(3 * n, 3 * n))
-    A.eliminate_zeros()
 
     x0 = np.column_stack([r.u[:n], r.pi[:n]]).ravel()
     hs = 0.5 * mesh.face_length * src

@@ -197,9 +197,8 @@ def advance(state: RunState, t_remaining: float, dt_max: float) -> float:
         # combined update does not read the acoustic step's Pi.
         cfl_bound = 0.5 * p.k_cfl
         ac = explicit_acoustic(relaxed, mesh, state.topo, p, dt,
-                               fluxes=fluxes_n, h_n=h_n, cfl_strict=True,
-                               donor=state.donor, cfl_bound=cfl_bound,
-                               update_pi=False)
+                               fluxes=fluxes_n, h_n=h_n, donor=state.donor,
+                               cfl_bound=cfl_bound, update_pi=False)
     else:
         if state.next_dt is None:
             state.next_dt = dt_exex(mesh, relaxed.tau, fluxes_n, p, dt_max)

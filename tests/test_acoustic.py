@@ -5,7 +5,8 @@ from lpswe import mesh as meshmod
 from lpswe.acoustic import (acoustic_cfl_fraction, assemble_implicit,
                             explicit_acoustic, implicit_acoustic,
                             implicit_pattern, solve_implicit)
-from lpswe.driver import BoundaryCondition, apply_bc, prepare_state
+from lpswe.driver import (BoundaryCondition, apply_bc, build_donor,
+                          prepare_state)
 from lpswe.exceptions import CFLError, PositivityError, SolverError
 from lpswe.fields import (ConservedField, Params, RelaxedField, Topography,
                           to_relaxed)
@@ -50,17 +51,7 @@ def test_explicit_cfl_strict_raises():
         dt=1.0)
     assert fr > 0.5
     with pytest.raises(CFLError):
-        explicit_acoustic(r, mesh, state.topo, p, dt=1.0, cfl_strict=True)
-
-
-def test_explicit_warns_when_not_strict():
-    # slightly above the CFL limit: warns but still completes
-    p, mesh, state, r = _setup()
-    fl = evaluate_face_fluxes(mesh, r.u, r.pi, state.conserved.h,
-                              state.topo.z, p)
-    dt = 0.6 / acoustic_cfl_fraction(mesh, r.tau, fl, 1.0)
-    with pytest.warns(UserWarning, match="CFL"):
-        explicit_acoustic(r, mesh, state.topo, p, dt=dt)
+        explicit_acoustic(r, mesh, state.topo, p, dt=1.0)
 
 
 def test_tau_positivity_error_has_suggestion():
@@ -75,8 +66,12 @@ def test_tau_positivity_error_has_suggestion():
                           BoundaryCondition(), p)
     apply_bc(state.conserved, mesh, state.donor)
     r = to_relaxed(state.conserved, p, n_interior=4)
+    # within the acoustic CFL limit, so tau is what fails
+    fl = evaluate_face_fluxes(mesh, r.u, r.pi, state.conserved.h,
+                              state.topo.z, p)
+    dt = 0.45 / acoustic_cfl_fraction(mesh, r.tau, fl, 1.0)
     with pytest.raises(PositivityError) as exc:
-        explicit_acoustic(r, mesh, state.topo, p, dt=0.5)
+        explicit_acoustic(r, mesh, state.topo, p, dt=dt)
     assert exc.value.suggested_dt is not None
     assert exc.value.suggested_dt > 0.0
 
@@ -189,13 +184,13 @@ def test_solver_residual_contract():
 
 
 def test_assembly_leaves_pattern_unchanged():
-    # eliminate_zeros compacts A's index arrays in place; the pattern that
-    # a run reuses over its attempts must not share them
+    # A is built on the pattern's own index arrays, and a run reuses the
+    # pattern over its attempts: assembly must leave them as they were
     p, mesh, state, r = _setup(scheme="IMEX")
     pattern = implicit_pattern(mesh, state.donor)
-    first = assemble_implicit(r, mesh, state.topo, p, 0.01, state.donor,
-                              pattern=pattern).A
-    assert first.nnz < len(pattern.indices)
+    indptr, indices = pattern.indptr.copy(), pattern.indices.copy()
+    assemble_implicit(r, mesh, state.topo, p, 0.01, state.donor,
+                      pattern=pattern)
     A = assemble_implicit(r, mesh, state.topo, p, 0.02, state.donor,
                           pattern=pattern).A
     fresh = assemble_implicit(r, mesh, state.topo, p, 0.02, state.donor,
@@ -203,6 +198,74 @@ def test_assembly_leaves_pattern_unchanged():
     assert np.array_equal(A.indptr, fresh.indptr)
     assert np.array_equal(A.indices, fresh.indices)
     assert np.array_equal(A.data, fresh.data)
+    assert np.array_equal(pattern.indptr, indptr)
+    assert np.array_equal(pattern.indices, indices)
+
+
+def _dense_face_operator(mesh, donor, d, magnitude=False):
+    """D F as a dense matrix, face by face from the flux formulas of
+    ``assemble_implicit``, with per-face scalars d = (theta a, 1, a^2, a)
+    given as four independent arrays.  With ``magnitude`` the faces'
+    entries are summed in absolute value, so nothing cancels."""
+    n = mesh.n_cells
+    DF = np.zeros((3 * n, 3 * n))
+    for f in range(mesh.n_faces):
+        o, nb = mesh.face_owner[f], mesh.face_neighbor[f]
+        m = nb if nb < n else donor[nb - n]
+        nx, ny = mesh.face_normal[f]
+        ta, one, a2, a = (q[f] for q in d)
+        hl = 0.5 * mesh.face_length[f]
+        # rows: l n_x Pi_face, l n_y Pi_face, l a^2 u_star; columns: the
+        # (u1, u2, Pi) of o, then of m
+        J_o = hl * np.array([[ta * nx * nx, ta * nx * ny, one * nx],
+                             [ta * ny * nx, ta * ny * ny, one * ny],
+                             [a2 * nx, a2 * ny, a]])
+        J_m = hl * np.array([[-ta * nx * nx, -ta * nx * ny, one * nx],
+                             [-ta * ny * nx, -ta * ny * ny, one * ny],
+                             [a2 * nx, a2 * ny, -a]])
+        for row, sign in ((o, 1.0), (nb, -1.0)):
+            if row < n:
+                for col, J in ((o, J_o), (m, J_m)):
+                    block = np.abs(J) if magnitude else sign * J
+                    DF[3 * row:3 * row + 3, 3 * col:3 * col + 3] += block
+    return DF
+
+
+@pytest.mark.parametrize("build, nx, ny, bc", [
+    ("mixed", 0, 0, BoundaryCondition()),
+    ("mixed", 0, 0, BoundaryCondition.periodic_all()),
+    # the neumann ghosts above and below map back onto their owner
+    (meshmod.build_cartesian, 5, 1, BoundaryCondition.periodic_x()),
+    (meshmod.build_triangulated, 5, 4, BoundaryCondition()),
+], ids=["mixed-neumann", "mixed-periodic", "quad5x1-periodic_x",
+        "tri5x4-neumann"])
+def test_pattern_stores_exactly_the_nonzeros(build, nx, ny, bc, mixed_mesh):
+    # a stored structural zero fails no value test but slows every product
+    # with A, so the stored entries are checked against the geometry
+    mesh = mixed_mesh if build == "mixed" else build(nx, ny)
+    donor = build_donor(mesh, bc)
+    pattern = implicit_pattern(mesh, donor)
+    N = 3 * mesh.n_cells
+    rows = np.repeat(np.arange(N), np.diff(pattern.indptr))
+    stored = np.zeros((N, N), bool)
+    stored[rows, pattern.indices] = True
+    assert np.count_nonzero(stored) == len(pattern.indices)
+    assert np.all(np.diff(pattern.indices)[np.diff(rows) == 0] > 0)
+    assert np.array_equal(rows[pattern.diag], np.arange(N))
+    assert np.array_equal(pattern.indices[pattern.diag], np.arange(N))
+
+    # the |geometric factors| are nonzero exactly where some face
+    # contributes
+    ones = [np.ones(mesh.n_faces)] * 4
+    geometric = _dense_face_operator(mesh, donor, ones, magnitude=True) != 0
+    assert np.array_equal(stored, geometric | np.eye(N, dtype=bool))
+
+    d = list(np.random.default_rng(3).uniform(0.5, 2.0, (4, mesh.n_faces)))
+    DF = _dense_face_operator(mesh, donor, d)
+    assert not np.any(DF[~stored])
+    np.testing.assert_allclose(pattern.S @ np.concatenate(d),
+                               DF[rows, pattern.indices],
+                               rtol=0.0, atol=1e-14 * np.max(np.abs(DF)))
 
 
 def test_solver_rejects_bad_tol():

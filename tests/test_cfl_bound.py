@@ -91,10 +91,9 @@ def test_bound_over_limit_still_raises(meshes, kind, data):
 
     # A bound over the limit sends the step to the exact fraction: within
     # it, the result is that of the step without any bound.
-    ref = explicit_acoustic(r, mesh, state.topo, p, dt, cfl_strict=True,
-                            **kw)
-    ac = explicit_acoustic(r, mesh, state.topo, p, dt, cfl_strict=True,
-                           cfl_bound=np.inf, **kw)
+    ref = explicit_acoustic(r, mesh, state.topo, p, dt, **kw)
+    ac = explicit_acoustic(r, mesh, state.topo, p, dt, cfl_bound=np.inf,
+                           **kw)
     assert np.array_equal(ac.relaxed.u, ref.relaxed.u)
     out = combined_update(state.conserved, ac, mesh, p, dt, cfl_bound=np.inf)
     assert np.array_equal(
@@ -104,7 +103,7 @@ def test_bound_over_limit_still_raises(meshes, kind, data):
     dt_big = dt / acoustic_cfl_fraction(mesh, r.tau, fluxes, dt)
     assert dt_big * D > ACOUSTIC_CFL_LIMIT
     with pytest.raises(CFLError, match="acoustic CFL"):
-        explicit_acoustic(r, mesh, state.topo, p, dt_big, cfl_strict=True,
+        explicit_acoustic(r, mesh, state.topo, p, dt_big,
                           cfl_bound=dt_big * D, **kw)
     frac = transport_cfl_fraction(mesh, fluxes, dt)
     if frac > 0.0:

@@ -259,7 +259,7 @@ def _reference_advance(state, dt_max):
         dt = dt_exex(mesh, r.tau, fluxes_n, p, dt_max)
         ac = acoustic.explicit_acoustic(r, mesh, state.topo, p, dt,
                                         fluxes=fluxes_n, h_n=h_n,
-                                        cfl_strict=True, donor=state.donor)
+                                        donor=state.donor)
         assert ac.relaxed.pi is not None
     else:
         if state.next_dt is None:
