@@ -2,7 +2,9 @@
 
 """Acoustic (Lagrangian) step: explicit update or implicit sparse solve.
 
-The explicit variant evaluates the face fluxes at time n.  The implicit
+Both variants start from one time-n record (``TimeLevel``): the relaxed
+state with Pi at equilibrium, h and the face fluxes evaluated once by the
+driver.  The explicit variant updates with those fluxes.  The implicit
 variant solves a linear system in the per-cell unknowns (u1, u2, Pi); the
 hydrostatic source bracket and the theta correction stay frozen at time n,
 which keeps the system linear.  tau is back-substituted from the solved
@@ -18,6 +20,16 @@ import scipy.sparse.linalg as spla
 from .exceptions import CFLError, PositivityError, SolverError
 from .fields import Params, RelaxedField
 from .flux_kernels import FaceFlux, evaluate_face_fluxes
+
+
+@dataclass
+class TimeLevel:
+    """The time-n state a step starts from: ghost entries populated, Pi at
+    equilibrium, and the face fluxes of that state."""
+
+    relaxed: RelaxedField
+    h: np.ndarray               # depth at time n, ghosts included
+    fluxes: FaceFlux
 
 
 @dataclass
@@ -84,17 +96,13 @@ def _tau_update(mesh, tau, dt, fluxes):
     return tau1
 
 
-def explicit_acoustic(r: RelaxedField, mesh, topo, p: Params, dt,
-                      fluxes: FaceFlux = None, h_n=None, donor=None,
-                      cfl_bound=None, update_pi=True) -> AcousticResult:
-    """One explicit acoustic step (sharp level = n).
+def explicit_acoustic(tn: TimeLevel, mesh, dt, donor, cfl_bound=None,
+                      update_pi=True) -> AcousticResult:
+    """One explicit acoustic step (sharp level = n) with the time-n fluxes.
 
-    ``fluxes`` may be passed in when the time-n fluxes were already
-    evaluated (the driver computes them for the time-step formula); ghost
-    entries of ``r`` must be populated.  When ``donor`` is given the ghost
-    entries of the result are refreshed from their donor cells, which the
-    transport upwinding needs for exact flux antisymmetry across periodic
-    boundaries.
+    The ghost entries of the result are refreshed from their ``donor``
+    cells, which the transport upwinding needs for exact flux antisymmetry
+    across periodic boundaries.
 
     ``cfl_bound`` is a known upper bound of the acoustic CFL fraction at
     this dt; the exact fraction is computed only when no bound is given or
@@ -103,10 +111,7 @@ def explicit_acoustic(r: RelaxedField, mesh, topo, p: Params, dt,
     ``relaxed.pi`` is None (the combined update does not read it).
     """
     n = mesh.n_cells
-    if h_n is None:
-        h_n = 1.0 / r.tau
-    if fluxes is None:
-        fluxes = evaluate_face_fluxes(mesh, r.u, r.pi, h_n, topo.z, p)
+    r, fluxes = tn.relaxed, tn.fluxes
 
     if cfl_bound is None or not cfl_bound <= ACOUSTIC_CFL_LIMIT:
         frac = acoustic_cfl_fraction(mesh, r.tau, fluxes, dt)
@@ -134,12 +139,10 @@ def explicit_acoustic(r: RelaxedField, mesh, topo, p: Params, dt,
         acc_pi = mesh.cell_sums(wa, -wa) / mesh.area
         pi1 = r.pi.copy()
         pi1[:n] = r.pi[:n] - r.tau[:n] * dt * acc_pi
+        _extend_ghosts(pi1, donor, n)
 
-    if donor is not None:
-        _extend_ghosts(tau1, donor, n)
-        _extend_ghosts(u1, donor, n)
-        if update_pi:
-            _extend_ghosts(pi1, donor, n)
+    _extend_ghosts(tau1, donor, n)
+    _extend_ghosts(u1, donor, n)
     return AcousticResult(RelaxedField(tau1, u1, pi1), fluxes, dt)
 
 
@@ -237,10 +240,8 @@ def implicit_pattern(mesh, donor) -> ImplicitPattern:
     return ImplicitPattern(indptr=indptr, indices=indices, diag=diag, S=S)
 
 
-def assemble_implicit(r: RelaxedField, mesh, topo, p: Params, dt,
-                      donor, fluxes_n: FaceFlux = None,
-                      h_n=None, pattern: ImplicitPattern = None
-                      ) -> LinearSystem:
+def assemble_implicit(tn: TimeLevel, mesh, dt,
+                      pattern: ImplicitPattern) -> LinearSystem:
     """Assemble the implicit acoustic system (sharp level = n+1-) as
     A = I + dt diag(tau/|K|) D F, D acting on each of the three fluxes.
 
@@ -252,25 +253,21 @@ def assemble_implicit(r: RelaxedField, mesh, topo, p: Params, dt,
         Pi_face = (Pi_o + Pi_m)/2 - (theta a / 2) n.(u_m - u_o) +- s/2
         u_star  = n.(u_o + u_m)/2 - (Pi_m - Pi_o)/(2a) - s/(2a)
 
-    Ghost unknowns are eliminated through ``donor``: the ghost behind
-    boundary face i carries the unknowns of interior cell donor[i]
-    (zero-gradient closure, or the periodic partner).  The source terms go
-    to b; owner and neighbor both see +s/2 n in the momentum rows.
+    Ghost unknowns are eliminated through the donors the ``pattern`` was
+    built with: the ghost behind boundary face i carries the unknowns of
+    interior cell donor[i] (zero-gradient closure, or the periodic
+    partner).  The source terms go to b; owner and neighbor both see
+    +s/2 n in the momentum rows.
 
     The structure of A comes from ``pattern`` (``implicit_pattern`` of the
-    same mesh and donors, built here when not given); only its values are
-    computed per call, as T * (S d) with the face scalars
-    d = (theta a, 1, a^2, a), plus 1 on the diagonal.
+    same mesh and donors); only its values are computed per call, as
+    T * (S d) with the face scalars d = (theta a, 1, a^2, a), plus 1 on the
+    diagonal.
     """
     n = mesh.n_cells
-    if h_n is None:
-        h_n = 1.0 / r.tau
-    if fluxes_n is None:
-        fluxes_n = evaluate_face_fluxes(mesh, r.u, r.pi, h_n, topo.z, p)
-    if pattern is None:
-        pattern = implicit_pattern(mesh, donor)
+    r = tn.relaxed
     # Frozen time-n impedance, theta and source bracket.
-    a, theta, src = fluxes_n.a, fluxes_n.theta, fluxes_n.src
+    a, theta, src = tn.fluxes.a, tn.fluxes.theta, tn.fluxes.src
 
     # T D F: S sums each entry of D F over its faces, and the rows of cell j
     # carry T_j = dt tau_j / |K_j| times that sum (the entries of its three
@@ -319,20 +316,14 @@ def solve_implicit(system: LinearSystem, tol, max_iter=500):
         f"residual {res:.3e} > {tol:.1e} * ||b||", residual=res)
 
 
-def implicit_acoustic(r: RelaxedField, mesh, topo, p: Params, dt,
-                      donor, fluxes_n: FaceFlux = None,
-                      h_n=None, pattern: ImplicitPattern = None
-                      ) -> AcousticResult:
+def implicit_acoustic(tn: TimeLevel, mesh, topo, p: Params, dt, donor,
+                      pattern: ImplicitPattern) -> AcousticResult:
     """Implicit acoustic step: assemble, solve, back-substitute tau and
     evaluate the sharp-level face fluxes with the frozen time-n theta.
     ``pattern`` is handed to ``assemble_implicit``."""
     n = mesh.n_cells
-    if h_n is None:
-        h_n = 1.0 / r.tau
-    if fluxes_n is None:
-        fluxes_n = evaluate_face_fluxes(mesh, r.u, r.pi, h_n, topo.z, p)
-    system = assemble_implicit(r, mesh, topo, p, dt, donor,
-                               fluxes_n=fluxes_n, h_n=h_n, pattern=pattern)
+    r = tn.relaxed
+    system = assemble_implicit(tn, mesh, dt, pattern)
     u_sol, pi_sol = solve_implicit(system, p.solver_tol, p.solver_maxiter)
 
     u1 = r.u.copy()
@@ -342,8 +333,8 @@ def implicit_acoustic(r: RelaxedField, mesh, topo, p: Params, dt,
     _extend_ghosts(u1, donor, n)
     _extend_ghosts(pi1, donor, n)
 
-    fluxes = evaluate_face_fluxes(mesh, u1, pi1, h_n, topo.z, p,
-                                  theta=fluxes_n.theta)
+    fluxes = evaluate_face_fluxes(mesh, u1, pi1, tn.h, topo.z, p,
+                                  theta=tn.fluxes.theta)
     tau1 = _tau_update(mesh, r.tau, dt, fluxes)
     _extend_ghosts(tau1, donor, n)
     return AcousticResult(RelaxedField(tau1, u1, pi1), fluxes, dt)

@@ -1,8 +1,8 @@
 # driver.py
 
 """Run orchestration: boundary conditions via ghost donors, time-step
-formulas, the per-step sequence (re-initialize Pi, acoustic, combined
-update) and diagnostics."""
+formulas, the per-step sequence (time-n record with Pi re-initialized,
+acoustic, combined update) and diagnostics."""
 
 import math
 import time
@@ -12,7 +12,7 @@ from typing import List, Optional
 import numpy as np
 
 from . import mesh as meshmod
-from .acoustic import (ImplicitPattern, explicit_acoustic,
+from .acoustic import (ImplicitPattern, TimeLevel, explicit_acoustic,
                        implicit_acoustic, implicit_pattern)
 from .exceptions import CFLError, ConfigError, LpsweError, PositivityError
 from .fields import ConservedField, Params, Topography, to_relaxed
@@ -177,31 +177,39 @@ class RunReport:
     t_final: float
 
 
+def time_level(state: RunState) -> TimeLevel:
+    """The time-n record a step starts from: ghosts filled from their
+    donors, Pi re-initialized at equilibrium, and the face fluxes."""
+    mesh, p = state.mesh, state.params
+    apply_bc(state.conserved, mesh, state.donor)
+    relaxed = to_relaxed(state.conserved, p, n_interior=mesh.n_cells)
+    h = state.conserved.h
+    fluxes = evaluate_face_fluxes(mesh, relaxed.u, relaxed.pi, h,
+                                  state.topo.z, p)
+    return TimeLevel(relaxed, h, fluxes)
+
+
 def advance(state: RunState, t_remaining: float, dt_max: float) -> float:
-    """One full step: BC, re-initialize Pi, acoustic, combined update.
+    """One full step: time-n record, acoustic, combined update.
 
     Returns the dt actually taken (truncated to t_remaining)."""
     mesh = state.mesh
     p = state.params
-    apply_bc(state.conserved, mesh, state.donor)
-    relaxed = to_relaxed(state.conserved, p, n_interior=mesh.n_cells)
-    h_n = state.conserved.h
-    fluxes_n = evaluate_face_fluxes(mesh, relaxed.u, relaxed.pi, h_n,
-                                    state.topo.z, p)
+    tn = time_level(state)
     if p.scheme == "EXEX":
-        dt = dt_exex(mesh, relaxed.tau, fluxes_n, p, dt_max)
+        dt = dt_exex(mesh, tn.relaxed.tau, tn.fluxes, p, dt_max)
         dt = min(dt, t_remaining)
         # dt_exex keeps dt * D <= k_cfl / 2 for its denominator D, and
         # dt * D bounds both the acoustic and the transport CFL fraction
         # (tests/test_cfl_bound.py), so neither is recomputed.  The
         # combined update does not read the acoustic step's Pi.
         cfl_bound = 0.5 * p.k_cfl
-        ac = explicit_acoustic(relaxed, mesh, state.topo, p, dt,
-                               fluxes=fluxes_n, h_n=h_n, donor=state.donor,
+        ac = explicit_acoustic(tn, mesh, dt, state.donor,
                                cfl_bound=cfl_bound, update_pi=False)
     else:
         if state.next_dt is None:
-            state.next_dt = dt_exex(mesh, relaxed.tau, fluxes_n, p, dt_max)
+            state.next_dt = dt_exex(mesh, tn.relaxed.tau, tn.fluxes, p,
+                                    dt_max)
         dt = min(state.next_dt, t_remaining)
         if state.pattern is None:
             state.pattern = implicit_pattern(mesh, state.donor)
@@ -211,9 +219,8 @@ def advance(state: RunState, t_remaining: float, dt_max: float) -> float:
         # transport CFL holds (positivity requires it).
         for _ in range(20):
             try:
-                ac = implicit_acoustic(relaxed, mesh, state.topo, p, dt,
-                                       state.donor, fluxes_n=fluxes_n,
-                                       h_n=h_n, pattern=state.pattern)
+                ac = implicit_acoustic(tn, mesh, state.topo, p, dt,
+                                       state.donor, pattern=state.pattern)
             except PositivityError as exc:
                 dt = min(0.5 * dt, exc.suggested_dt or 0.5 * dt)
                 continue

@@ -9,11 +9,11 @@ verification suite asserts these stay at roundoff level.
 import numpy as np
 
 from . import mesh as meshmod
-from .acoustic import explicit_acoustic, solve_implicit, assemble_implicit
-from .driver import BoundaryCondition, advance, apply_bc, prepare_state
-from .fields import to_relaxed
-from .fields import Params
-from .flux_kernels import evaluate_face_fluxes
+from .acoustic import (assemble_implicit, explicit_acoustic,
+                       implicit_pattern, solve_implicit)
+from .driver import (BoundaryCondition, advance, dt_exex, prepare_state,
+                     time_level)
+from .fields import Params, Topography
 from .reference1d import State1D, step1d
 from .scenarios import bump_topography, dam_break
 from .transport import combined_update, transport
@@ -31,24 +31,16 @@ def combined_vs_two_step():
     mesh = meshmod.build_triangulated(12, 12)
     z = bump_topography(mesh.centroid[:, 0])
     ic = dam_break(mesh.centroid[:, 0], z)
-    from .fields import Topography
     state = prepare_state(mesh, Topography(z), ic, BoundaryCondition(), p)
 
+    n = mesh.n_cells
     worst = 0.0
     for _ in range(5):
-        mesh_ = state.mesh
-        apply_bc(state.conserved, mesh_, state.donor)
-        relaxed = to_relaxed(state.conserved, p, n_interior=mesh_.n_cells)
-        h_n = state.conserved.h
-        fluxes_n = evaluate_face_fluxes(mesh_, relaxed.u, relaxed.pi, h_n,
-                                        state.topo.z, p)
-        from .driver import dt_exex
-        dt = dt_exex(mesh_, relaxed.tau, fluxes_n, p, 1e-3)
-        ac = explicit_acoustic(relaxed, mesh_, state.topo, p, dt,
-                               fluxes=fluxes_n, h_n=h_n, donor=state.donor)
-        two = transport(ac.relaxed, ac.fluxes, mesh_, p, dt)
-        one = combined_update(state.conserved, ac, mesh_, p, dt)
-        n = mesh_.n_cells
+        tn = time_level(state)
+        dt = dt_exex(mesh, tn.relaxed.tau, tn.fluxes, p, 1e-3)
+        ac = explicit_acoustic(tn, mesh, dt, state.donor)
+        two = transport(ac.relaxed, ac.fluxes, mesh, p, dt)
+        one = combined_update(state.conserved, ac, mesh, p, dt)
         worst = max(worst, _rel(one.h[:n], two.h[:n]),
                     _rel(one.hu[:n], two.hu[:n]))
         state.conserved = one
@@ -67,7 +59,6 @@ def strip_vs_1d(scheme="EXEX", n_steps=5, nx=40, dt=2e-4):
     xc = mesh.centroid[:, 0]
     z = bump_topography(xc)
     ic2 = dam_break(xc, z)
-    from .fields import Topography
     bc = BoundaryCondition(left="neumann", right="neumann",
                            bottom="periodic", top="periodic")
     state = prepare_state(mesh, Topography(z), ic2, bc, p)
@@ -95,15 +86,9 @@ def implicit_vs_dense(nx=3, ny=3, dt=5e-4):
     xc = mesh.centroid[:, 0]
     z = bump_topography(xc)
     ic = dam_break(xc, z)
-    from .fields import Topography
     state = prepare_state(mesh, Topography(z), ic, BoundaryCondition(), p)
-    apply_bc(state.conserved, mesh, state.donor)
-    relaxed = to_relaxed(state.conserved, p, n_interior=mesh.n_cells)
-    h_n = state.conserved.h
-    fluxes_n = evaluate_face_fluxes(mesh, relaxed.u, relaxed.pi, h_n,
-                                    state.topo.z, p)
-    system = assemble_implicit(relaxed, mesh, state.topo, p, dt,
-                               state.donor, fluxes_n=fluxes_n, h_n=h_n)
+    system = assemble_implicit(time_level(state), mesh, dt,
+                               implicit_pattern(mesh, state.donor))
     u_sp, pi_sp = solve_implicit(system, p.solver_tol, p.solver_maxiter)
     x = np.linalg.solve(system.A.toarray(), system.b)
     n = mesh.n_cells

@@ -2,14 +2,14 @@ import numpy as np
 import pytest
 
 from lpswe import mesh as meshmod
-from lpswe.acoustic import (acoustic_cfl_fraction, assemble_implicit,
-                            explicit_acoustic, implicit_acoustic,
-                            implicit_pattern, solve_implicit)
-from lpswe.driver import (BoundaryCondition, apply_bc, build_donor,
-                          prepare_state)
+from lpswe.acoustic import (TimeLevel, acoustic_cfl_fraction,
+                            assemble_implicit, explicit_acoustic,
+                            implicit_acoustic, implicit_pattern,
+                            solve_implicit)
+from lpswe.driver import (BoundaryCondition, build_donor, prepare_state,
+                          time_level)
 from lpswe.exceptions import CFLError, PositivityError, SolverError
-from lpswe.fields import (ConservedField, Params, RelaxedField, Topography,
-                          to_relaxed)
+from lpswe.fields import ConservedField, Params, RelaxedField, Topography
 from lpswe.flux_kernels import evaluate_face_fluxes
 from lpswe.scenarios import bump_topography, dam_break
 
@@ -21,9 +21,7 @@ def _setup(nx=6, ny=6, scheme="EXEX", bc=None):
     ic = dam_break(mesh.centroid[:, 0], z)
     state = prepare_state(mesh, Topography(z), ic,
                           bc or BoundaryCondition(), p)
-    apply_bc(state.conserved, mesh, state.donor)
-    r = to_relaxed(state.conserved, p, n_interior=mesh.n_cells)
-    return p, mesh, state, r
+    return p, mesh, state, time_level(state)
 
 
 def test_explicit_lake_at_rest_fixed_point():
@@ -33,25 +31,18 @@ def test_explicit_lake_at_rest_fixed_point():
     h = 0.5 - z
     ic = ConservedField(h, np.zeros((len(h), 2)))
     state = prepare_state(mesh, Topography(z), ic, BoundaryCondition(), p)
-    apply_bc(state.conserved, mesh, state.donor)
-    r = to_relaxed(state.conserved, p, n_interior=mesh.n_cells)
-    ac = explicit_acoustic(r, mesh, state.topo, p, dt=1e-4,
-                           donor=state.donor)
+    tn = time_level(state)
+    ac = explicit_acoustic(tn, mesh, 1e-4, state.donor)
     n = mesh.n_cells
     assert np.max(np.abs(ac.relaxed.u[:n])) < 1e-14
-    assert np.max(np.abs(ac.relaxed.tau[:n] - r.tau[:n])) == 0.0
+    assert np.max(np.abs(ac.relaxed.tau[:n] - tn.relaxed.tau[:n])) == 0.0
 
 
 def test_explicit_cfl_strict_raises():
-    p, mesh, state, r = _setup()
-    fr = acoustic_cfl_fraction(
-        mesh, r.tau,
-        evaluate_face_fluxes(mesh, r.u, r.pi, state.conserved.h,
-                             state.topo.z, p),
-        dt=1.0)
-    assert fr > 0.5
+    p, mesh, state, tn = _setup()
+    assert acoustic_cfl_fraction(mesh, tn.relaxed.tau, tn.fluxes, 1.0) > 0.5
     with pytest.raises(CFLError):
-        explicit_acoustic(r, mesh, state.topo, p, dt=1.0)
+        explicit_acoustic(tn, mesh, 1.0, state.donor)
 
 
 def test_tau_positivity_error_has_suggestion():
@@ -64,28 +55,24 @@ def test_tau_positivity_error_has_suggestion():
     ic = ConservedField(h, h[:, None] * u)
     state = prepare_state(mesh, Topography(np.zeros(4)), ic,
                           BoundaryCondition(), p)
-    apply_bc(state.conserved, mesh, state.donor)
-    r = to_relaxed(state.conserved, p, n_interior=4)
+    tn = time_level(state)
     # within the acoustic CFL limit, so tau is what fails
-    fl = evaluate_face_fluxes(mesh, r.u, r.pi, state.conserved.h,
-                              state.topo.z, p)
-    dt = 0.45 / acoustic_cfl_fraction(mesh, r.tau, fl, 1.0)
+    dt = 0.45 / acoustic_cfl_fraction(mesh, tn.relaxed.tau, tn.fluxes, 1.0)
     with pytest.raises(PositivityError) as exc:
-        explicit_acoustic(r, mesh, state.topo, p, dt=dt)
+        explicit_acoustic(tn, mesh, dt, state.donor)
     assert exc.value.suggested_dt is not None
     assert exc.value.suggested_dt > 0.0
 
 
 def test_implicit_matches_explicit_small_dt():
     # for dt -> 0 both updates agree to O(dt^2)
-    p_ex, mesh, state, r = _setup()
-    p_im = Params(scheme="IMEX")
+    p, mesh, state, tn = _setup(scheme="IMEX")
+    pattern = implicit_pattern(mesh, state.donor)
     n = mesh.n_cells
     for dt in (1e-5, 5e-6):
-        ex = explicit_acoustic(r.copy(), mesh, state.topo, p_ex, dt,
-                               donor=state.donor)
-        im = implicit_acoustic(r.copy(), mesh, state.topo, p_im, dt,
-                               state.donor)
+        ex = explicit_acoustic(tn, mesh, dt, state.donor)
+        im = implicit_acoustic(tn, mesh, state.topo, p, dt, state.donor,
+                               pattern)
         du = np.max(np.abs(ex.relaxed.u[:n] - im.relaxed.u[:n]))
         dpi = np.max(np.abs(ex.relaxed.pi[:n] - im.relaxed.pi[:n]))
         # difference scales like dt^2 times the flux divergence
@@ -101,14 +88,14 @@ def test_implicit_lake_at_rest_fixed_point():
     h = 0.5 - z
     ic = ConservedField(h, np.zeros((len(h), 2)))
     state = prepare_state(mesh, Topography(z), ic, BoundaryCondition(), p)
-    apply_bc(state.conserved, mesh, state.donor)
-    r = to_relaxed(state.conserved, p, n_interior=mesh.n_cells)
-    system = assemble_implicit(r, mesh, state.topo, p, 0.05, state.donor)
+    tn = time_level(state)
+    system = assemble_implicit(tn, mesh, 0.05,
+                               implicit_pattern(mesh, state.donor))
     n = mesh.n_cells
     x = np.empty(3 * n)
     x[0::3] = 0.0
     x[1::3] = 0.0
-    x[2::3] = r.pi[:n]
+    x[2::3] = tn.relaxed.pi[:n]
     # the rest state is a fixed point of the linear system
     assert np.max(np.abs(system.A @ x - system.b)) < 1e-12
 
@@ -124,11 +111,9 @@ def _check_implicit_operator_against_explicit(mesh, bc):
     rng = np.random.default_rng(7)
     ic.hu[:] = ic.h[:, None] * rng.normal(scale=0.5, size=ic.hu.shape)
     state = prepare_state(mesh, Topography(z), ic, bc, p)
-    apply_bc(state.conserved, mesh, state.donor)
-    r = to_relaxed(state.conserved, p, n_interior=mesh.n_cells)
-    h_n = state.conserved.h
-    fluxes_n = evaluate_face_fluxes(mesh, r.u, r.pi, h_n, state.topo.z, p)
-    assert np.mean(fluxes_n.theta > 0.0) > 0.9
+    tn = time_level(state)
+    r, h_n = tn.relaxed, tn.h
+    assert np.mean(tn.fluxes.theta > 0.0) > 0.9
 
     n = mesh.n_cells
     u = rng.normal(size=(mesh.n_total, 2))
@@ -136,12 +121,12 @@ def _check_implicit_operator_against_explicit(mesh, bc):
     u[n:] = u[state.donor]
     pi[n:] = pi[state.donor]
     fluxes_x = evaluate_face_fluxes(mesh, u, pi, h_n, state.topo.z, p,
-                                    theta=fluxes_n.theta)
+                                    theta=tn.fluxes.theta)
     dt = 0.4 / acoustic_cfl_fraction(mesh, r.tau, fluxes_x, 1.0)
-    system = assemble_implicit(r, mesh, state.topo, p, dt, state.donor,
-                               fluxes_n=fluxes_n, h_n=h_n)
-    ex = explicit_acoustic(RelaxedField(r.tau, u, pi), mesh, state.topo, p,
-                           dt, fluxes=fluxes_x, h_n=h_n)
+    system = assemble_implicit(tn, mesh, dt,
+                               implicit_pattern(mesh, state.donor))
+    ex = explicit_acoustic(TimeLevel(RelaxedField(r.tau, u, pi), h_n,
+                                     fluxes_x), mesh, dt, state.donor)
 
     x = np.column_stack([u[:n], pi[:n]]).ravel()
     e = np.column_stack([ex.relaxed.u[:n], ex.relaxed.pi[:n]]).ravel()
@@ -175,8 +160,9 @@ def test_implicit_operator_matches_explicit_kernels_ghost_layouts(
 
 
 def test_solver_residual_contract():
-    p, mesh, state, r = _setup(scheme="IMEX")
-    system = assemble_implicit(r, mesh, state.topo, p, 0.01, state.donor)
+    p, mesh, state, tn = _setup(scheme="IMEX")
+    system = assemble_implicit(tn, mesh, 0.01,
+                               implicit_pattern(mesh, state.donor))
     u, pi = solve_implicit(system, tol=1e-10)
     res = np.linalg.norm(system.A @ np.ravel(
         np.column_stack([u, pi])) - system.b)
@@ -186,15 +172,13 @@ def test_solver_residual_contract():
 def test_assembly_leaves_pattern_unchanged():
     # A is built on the pattern's own index arrays, and a run reuses the
     # pattern over its attempts: assembly must leave them as they were
-    p, mesh, state, r = _setup(scheme="IMEX")
+    p, mesh, state, tn = _setup(scheme="IMEX")
     pattern = implicit_pattern(mesh, state.donor)
     indptr, indices = pattern.indptr.copy(), pattern.indices.copy()
-    assemble_implicit(r, mesh, state.topo, p, 0.01, state.donor,
-                      pattern=pattern)
-    A = assemble_implicit(r, mesh, state.topo, p, 0.02, state.donor,
-                          pattern=pattern).A
-    fresh = assemble_implicit(r, mesh, state.topo, p, 0.02, state.donor,
-                              pattern=implicit_pattern(mesh, state.donor)).A
+    assemble_implicit(tn, mesh, 0.01, pattern)
+    A = assemble_implicit(tn, mesh, 0.02, pattern).A
+    fresh = assemble_implicit(tn, mesh, 0.02,
+                              implicit_pattern(mesh, state.donor)).A
     assert np.array_equal(A.indptr, fresh.indptr)
     assert np.array_equal(A.indices, fresh.indices)
     assert np.array_equal(A.data, fresh.data)
@@ -269,15 +253,17 @@ def test_pattern_stores_exactly_the_nonzeros(build, nx, ny, bc, mixed_mesh):
 
 
 def test_solver_rejects_bad_tol():
-    p, mesh, state, r = _setup(scheme="IMEX")
-    system = assemble_implicit(r, mesh, state.topo, p, 0.01, state.donor)
+    p, mesh, state, tn = _setup(scheme="IMEX")
+    system = assemble_implicit(tn, mesh, 0.01,
+                               implicit_pattern(mesh, state.donor))
     with pytest.raises(ValueError):
         solve_implicit(system, tol=0.0)
 
 
 def test_solver_error_carries_residual():
-    p, mesh, state, r = _setup(scheme="IMEX")
-    system = assemble_implicit(r, mesh, state.topo, p, 0.01, state.donor)
+    p, mesh, state, tn = _setup(scheme="IMEX")
+    system = assemble_implicit(tn, mesh, 0.01,
+                               implicit_pattern(mesh, state.donor))
     with pytest.raises(SolverError) as exc:
         solve_implicit(system, tol=1e-300)
     assert exc.value.residual > 1e-300 * np.linalg.norm(system.b)
@@ -286,16 +272,17 @@ def test_solver_error_carries_residual():
 
 def test_implicit_large_dt_stable():
     # dt far beyond the acoustic CFL must still produce finite positive tau
-    p, mesh, state, r = _setup(scheme="IMEX")
-    ac = implicit_acoustic(r, mesh, state.topo, p, 0.05, state.donor)
+    p, mesh, state, tn = _setup(scheme="IMEX")
+    ac = implicit_acoustic(tn, mesh, state.topo, p, 0.05, state.donor,
+                           implicit_pattern(mesh, state.donor))
     n = mesh.n_cells
     assert np.all(ac.relaxed.tau[:n] > 0.0)
     assert np.all(np.isfinite(ac.relaxed.u[:n]))
 
 
 def test_ghosts_refreshed_after_explicit_step():
-    p, mesh, state, r = _setup()
-    ac = explicit_acoustic(r, mesh, state.topo, p, 1e-4, donor=state.donor)
+    p, mesh, state, tn = _setup()
+    ac = explicit_acoustic(tn, mesh, 1e-4, state.donor)
     n = mesh.n_cells
     assert np.array_equal(ac.relaxed.tau[n:], ac.relaxed.tau[state.donor])
     assert np.array_equal(ac.relaxed.pi[n:], ac.relaxed.pi[state.donor])
@@ -304,10 +291,9 @@ def test_ghosts_refreshed_after_explicit_step():
 def test_explicit_step_without_pi_update():
     # the driver's EXEX path skips the Pi update, which the combined update
     # does not read; tau and u must be those of the full step
-    p, mesh, state, r = _setup(bc=BoundaryCondition.periodic_all())
-    full = explicit_acoustic(r, mesh, state.topo, p, 1e-4, donor=state.donor)
-    lean = explicit_acoustic(r, mesh, state.topo, p, 1e-4, donor=state.donor,
-                             update_pi=False)
+    p, mesh, state, tn = _setup(bc=BoundaryCondition.periodic_all())
+    full = explicit_acoustic(tn, mesh, 1e-4, state.donor)
+    lean = explicit_acoustic(tn, mesh, 1e-4, state.donor, update_pi=False)
     assert lean.relaxed.pi is None
     assert np.array_equal(lean.relaxed.tau, full.relaxed.tau)
     assert np.array_equal(lean.relaxed.u, full.relaxed.u)

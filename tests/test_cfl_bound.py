@@ -17,11 +17,10 @@ from hypothesis.extra.numpy import arrays
 from lpswe import mesh as meshmod
 from lpswe.acoustic import (ACOUSTIC_CFL_LIMIT, acoustic_cfl_fraction,
                             explicit_acoustic)
-from lpswe.driver import (BoundaryCondition, _speed_cell_max, apply_bc,
-                          dt_exex, prepare_state)
+from lpswe.driver import (BoundaryCondition, _speed_cell_max, dt_exex,
+                          prepare_state, time_level)
 from lpswe.exceptions import CFLError
-from lpswe.fields import ConservedField, Params, Topography, to_relaxed
-from lpswe.flux_kernels import evaluate_face_fluxes
+from lpswe.fields import ConservedField, Params, Topography
 from lpswe.scenarios import bump_topography
 from lpswe.transport import (TRANSPORT_CFL_LIMIT, combined_update,
                              transport_cfl_fraction)
@@ -40,15 +39,11 @@ def meshes(mixed_mesh):
 
 
 def _state(mesh, bc, h, hu):
-    """Time-n relaxed state and fluxes over the bump, ghosts filled."""
+    """Time-n record over the bump, ghosts filled."""
     p = Params()
     z = 0.1 * bump_topography(mesh.centroid[:, 0])
     state = prepare_state(mesh, Topography(z), ConservedField(h, hu), bc, p)
-    apply_bc(state.conserved, mesh, state.donor)
-    r = to_relaxed(state.conserved, p, n_interior=mesh.n_cells)
-    fluxes = evaluate_face_fluxes(mesh, r.u, r.pi, state.conserved.h,
-                                  state.topo.z, p)
-    return p, state, r, fluxes
+    return p, state, time_level(state)
 
 
 def _fields(data, n):
@@ -66,7 +61,8 @@ KINDS = ("cartesian", "triangulated", "mixed")
 @given(data=st.data())
 def test_dt_bound_covers_both_cfl_fractions(meshes, kind, bc, data):
     mesh = meshes[kind]
-    p, state, r, fluxes = _state(mesh, BCS[bc], *_fields(data, mesh.n_cells))
+    p, state, tn = _state(mesh, BCS[bc], *_fields(data, mesh.n_cells))
+    r, fluxes = tn.relaxed, tn.fluxes
     D = _speed_cell_max(mesh, r.tau, fluxes, transport_only=False)
     dt = dt_exex(mesh, r.tau, fluxes, p, np.inf)
     assert dt * D <= 0.5 * p.k_cfl * (1.0 + 1e-15)
@@ -83,17 +79,16 @@ def test_dt_bound_covers_both_cfl_fractions(meshes, kind, bc, data):
 @given(data=st.data())
 def test_bound_over_limit_still_raises(meshes, kind, data):
     mesh = meshes[kind]
-    p, state, r, fluxes = _state(mesh, BCS["periodic"],
-                                 *_fields(data, mesh.n_cells))
+    p, state, tn = _state(mesh, BCS["periodic"],
+                          *_fields(data, mesh.n_cells))
+    r, fluxes = tn.relaxed, tn.fluxes
     D = _speed_cell_max(mesh, r.tau, fluxes, transport_only=False)
     dt = dt_exex(mesh, r.tau, fluxes, p, np.inf)
-    kw = dict(fluxes=fluxes, h_n=state.conserved.h, donor=state.donor)
 
     # A bound over the limit sends the step to the exact fraction: within
     # it, the result is that of the step without any bound.
-    ref = explicit_acoustic(r, mesh, state.topo, p, dt, **kw)
-    ac = explicit_acoustic(r, mesh, state.topo, p, dt, cfl_bound=np.inf,
-                           **kw)
+    ref = explicit_acoustic(tn, mesh, dt, state.donor)
+    ac = explicit_acoustic(tn, mesh, dt, state.donor, cfl_bound=np.inf)
     assert np.array_equal(ac.relaxed.u, ref.relaxed.u)
     out = combined_update(state.conserved, ac, mesh, p, dt, cfl_bound=np.inf)
     assert np.array_equal(
@@ -103,8 +98,8 @@ def test_bound_over_limit_still_raises(meshes, kind, data):
     dt_big = dt / acoustic_cfl_fraction(mesh, r.tau, fluxes, dt)
     assert dt_big * D > ACOUSTIC_CFL_LIMIT
     with pytest.raises(CFLError, match="acoustic CFL"):
-        explicit_acoustic(r, mesh, state.topo, p, dt_big,
-                          cfl_bound=dt_big * D, **kw)
+        explicit_acoustic(tn, mesh, dt_big, state.donor,
+                          cfl_bound=dt_big * D)
     frac = transport_cfl_fraction(mesh, fluxes, dt)
     if frac > 0.0:
         dt_big = 2.0 * dt / frac

@@ -7,8 +7,9 @@ from lpswe import mesh as meshmod
 from lpswe.acceptance import lake_at_rest_errors
 from lpswe.driver import (BoundaryCondition, apply_bc, build_donor, dt_exex,
                           dt_imex, ghost_topography, prepare_state, run,
-                          run_steps)
-from lpswe.exceptions import ConfigError, PositivityError, SolverError
+                          run_steps, time_level)
+from lpswe.exceptions import (CFLError, ConfigError, LpsweError,
+                              PositivityError, SolverError)
 from lpswe.fields import ConservedField, Params, Topography, to_relaxed
 from lpswe.flux_kernels import evaluate_face_fluxes
 from lpswe.scenarios import bump_topography, dam_break, get_scenario
@@ -198,27 +199,73 @@ def test_imex_builds_implicit_pattern_once(monkeypatch):
     assert all(pattern is attempts[0] for pattern in attempts)
 
 
-def test_error_message_includes_step_number():
-    from lpswe.exceptions import LpsweError
+def test_error_message_includes_step_number(monkeypatch):
     p = Params()
     mesh = meshmod.build_cartesian(4, 4)
     h = np.full(16, 1.0)
     u = np.zeros((16, 2))
     ic = ConservedField(h, h[:, None] * u)
     topo = Topography(np.zeros(16))
-    # k_cfl is sound, so force failure via a run that cannot fail instead:
-    # use an absurd dt_max with a scheme override is not possible here, so
-    # check the wrapper by monkeypatching advance
-    import lpswe.driver as drv
-    orig = drv.advance
+
     def boom(state, t_remaining, dt_max):
         raise LpsweError("boom")
-    drv.advance = boom
-    try:
-        with pytest.raises(LpsweError, match="step 0: boom"):
-            run(mesh, topo, ic, BoundaryCondition(), p, 0.01)
-    finally:
-        drv.advance = orig
+
+    monkeypatch.setattr(drv, "advance", boom)
+    with pytest.raises(LpsweError, match="step 0: boom"):
+        run(mesh, topo, ic, BoundaryCondition(), p, 0.01)
+
+
+def _imex_dam_break():
+    p = Params(scheme="IMEX")
+    sc = get_scenario("dam_break")
+    mesh = meshmod.build_cartesian(8, 8)
+    topo, ic = sc.build(mesh, p)
+    return p, sc, mesh, topo, ic
+
+
+def test_imex_gives_up_after_repeated_rejections(monkeypatch):
+    # a transport fraction that never falls under 1 rejects every attempt;
+    # each retry runs at k_cfl/frac of the dt before, and the step gives up
+    # after 20 attempts
+    dts = []
+
+    def always_over(mesh, fluxes, dt):
+        dts.append(dt)
+        return 2.0
+
+    monkeypatch.setattr(drv, "transport_cfl_fraction", always_over)
+    p, sc, mesh, topo, ic = _imex_dam_break()
+    with pytest.raises(CFLError,
+                       match=r"^step 0: IMEX step rejected repeatedly"):
+        run(mesh, topo, ic, sc.bc, p, 0.01)
+    assert len(dts) == 20
+    assert all(b == p.k_cfl * a / 2.0 for a, b in zip(dts, dts[1:]))
+
+
+@pytest.mark.parametrize("suggested", [0.3, 0.8, None])
+def test_imex_positivity_retry_dt(monkeypatch, suggested):
+    # an attempt that fails positivity is re-solved at half its dt, or at
+    # the error's suggested dt when that is smaller
+    dts = []
+    attempt = drv.implicit_acoustic
+
+    def first_fails(tn, mesh, topo, p, dt, donor, pattern):
+        dts.append(dt)
+        if len(dts) == 1:
+            raise PositivityError(
+                "forced", cell=0,
+                suggested_dt=None if suggested is None else suggested * dt)
+        return attempt(tn, mesh, topo, p, dt, donor, pattern=pattern)
+
+    monkeypatch.setattr(drv, "implicit_acoustic", first_fails)
+    p, sc, mesh, topo, ic = _imex_dam_break()
+    state = prepare_state(mesh, topo, ic, sc.bc, p)
+    dt = drv.advance(state, np.inf, 0.01)
+    first, second = dts
+    expected = 0.5 * first if suggested is None else min(0.5 * first,
+                                                         suggested * first)
+    assert second == expected
+    assert dt == second
 
 
 def test_solver_error_keeps_residual_and_step():
@@ -251,25 +298,21 @@ def _reference_advance(state, dt_max):
     scheme's dt, the acoustic step (Pi updated) and the combined update,
     no bound passed."""
     mesh, p = state.mesh, state.params
-    apply_bc(state.conserved, mesh, state.donor)
-    r = to_relaxed(state.conserved, p, n_interior=mesh.n_cells)
-    h_n = state.conserved.h
-    fluxes_n = evaluate_face_fluxes(mesh, r.u, r.pi, h_n, state.topo.z, p)
+    tn = time_level(state)
     if p.scheme == "EXEX":
-        dt = dt_exex(mesh, r.tau, fluxes_n, p, dt_max)
-        ac = acoustic.explicit_acoustic(r, mesh, state.topo, p, dt,
-                                        fluxes=fluxes_n, h_n=h_n,
-                                        donor=state.donor)
+        dt = dt_exex(mesh, tn.relaxed.tau, tn.fluxes, p, dt_max)
+        ac = acoustic.explicit_acoustic(tn, mesh, dt, state.donor)
         assert ac.relaxed.pi is not None
     else:
         if state.next_dt is None:
-            state.next_dt = dt_exex(mesh, r.tau, fluxes_n, p, dt_max)
+            state.next_dt = dt_exex(mesh, tn.relaxed.tau, tn.fluxes, p,
+                                    dt_max)
         dt = state.next_dt
+        pattern = acoustic.implicit_pattern(mesh, state.donor)
         for _ in range(20):
             try:
-                ac = acoustic.implicit_acoustic(r, mesh, state.topo, p, dt,
-                                                state.donor,
-                                                fluxes_n=fluxes_n, h_n=h_n)
+                ac = acoustic.implicit_acoustic(tn, mesh, state.topo, p, dt,
+                                                state.donor, pattern)
             except PositivityError as exc:
                 dt = min(0.5 * dt, exc.suggested_dt or 0.5 * dt)
                 continue

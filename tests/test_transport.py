@@ -3,9 +3,9 @@ import pytest
 
 from lpswe import mesh as meshmod
 from lpswe.acoustic import explicit_acoustic
-from lpswe.driver import BoundaryCondition, apply_bc, prepare_state
+from lpswe.driver import BoundaryCondition, prepare_state, time_level
 from lpswe.exceptions import CFLError
-from lpswe.fields import ConservedField, Params, Topography, to_relaxed
+from lpswe.fields import ConservedField, Params, Topography
 from lpswe.scenarios import bump_topography, dam_break
 from lpswe.tests_support import combined_vs_two_step
 from lpswe.transport import (combined_update, transport,
@@ -18,9 +18,7 @@ def _acoustic_step(nx=8, ny=8, dt=1e-4):
     z = bump_topography(mesh.centroid[:, 0])
     ic = dam_break(mesh.centroid[:, 0], z)
     state = prepare_state(mesh, Topography(z), ic, BoundaryCondition(), p)
-    apply_bc(state.conserved, mesh, state.donor)
-    r = to_relaxed(state.conserved, p, n_interior=mesh.n_cells)
-    ac = explicit_acoustic(r, mesh, state.topo, p, dt, donor=state.donor)
+    ac = explicit_acoustic(time_level(state), mesh, dt, state.donor)
     return p, mesh, state, ac, dt
 
 
@@ -36,9 +34,7 @@ def test_transport_constant_state_preserved():
     ic = ConservedField(h, h[:, None] * u)
     state = prepare_state(mesh, Topography(np.zeros(mesh.n_cells)), ic,
                           BoundaryCondition(), p)
-    apply_bc(state.conserved, mesh, state.donor)
-    r = to_relaxed(state.conserved, p, n_interior=mesh.n_cells)
-    ac = explicit_acoustic(r, mesh, state.topo, p, 1e-4, donor=state.donor)
+    ac = explicit_acoustic(time_level(state), mesh, 1e-4, state.donor)
     out = transport(ac.relaxed, ac.fluxes, mesh, p, 1e-4)
     n = mesh.n_cells
     assert np.max(np.abs(out.h[:n] - 2.0)) < 1e-13
@@ -68,10 +64,8 @@ def test_combined_update_mass_conservation_periodic():
     ic = ConservedField(h, h[:, None] * u)
     state = prepare_state(mesh, Topography(np.zeros(mesh.n_cells)), ic,
                           BoundaryCondition.periodic_all(), p)
-    apply_bc(state.conserved, mesh, state.donor)
-    r = to_relaxed(state.conserved, p, n_interior=mesh.n_cells)
     dt = 1e-4
-    ac = explicit_acoustic(r, mesh, state.topo, p, dt, donor=state.donor)
+    ac = explicit_acoustic(time_level(state), mesh, dt, state.donor)
     out = combined_update(state.conserved, ac, mesh, p, dt)
     n = mesh.n_cells
     m0 = np.sum(mesh.area * state.conserved.h[:n])
@@ -91,10 +85,8 @@ def test_upwind_direction():
     ic = ConservedField(h, h[:, None] * u)
     state = prepare_state(mesh, Topography(np.zeros(10)), ic,
                           BoundaryCondition(), p)
-    apply_bc(state.conserved, mesh, state.donor)
-    r = to_relaxed(state.conserved, p, n_interior=10)
     dt = 1e-5
-    ac = explicit_acoustic(r, mesh, state.topo, p, dt, donor=state.donor)
+    ac = explicit_acoustic(time_level(state), mesh, dt, state.donor)
     out = transport(ac.relaxed, ac.fluxes, mesh, p, dt)
     # cell 5 receives mass from cell 4
     assert out.h[5] > 1.0
