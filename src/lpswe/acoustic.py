@@ -34,11 +34,12 @@ class TimeLevel:
 
 @dataclass
 class AcousticResult:
-    """State at t^{n+1-} plus the face fluxes evaluated at the sharp level,
-    for reuse by the transport step."""
+    """State at t^{n+1-} plus the sharp-level face fluxes and their
+    pressure force, for reuse by the transport step."""
 
     relaxed: RelaxedField       # ghost entries populated via the donor copy
     fluxes: FaceFlux
+    force: np.ndarray           # (n_cells, 2) sum_k l pi_star n / |K|
     dt: float
 
 
@@ -61,18 +62,29 @@ class LinearSystem:
 ACOUSTIC_CFL_LIMIT = 0.5 * (1.0 + 1e-12)
 
 
-def _divergence(mesh, fluxes):
-    """Per-cell sum of sigma_jk * u_star_jk (the neighbor sees -u_star)."""
-    w = mesh.face_length * fluxes.u_star
-    return mesh.cell_sums(w, -w) / mesh.area
+def _pressure_force(mesh, fluxes):
+    """Per-cell sum_k l pi_star n / |K|: the owner sees pi_star_L n, the
+    neighbor pi_star_R (-n)."""
+    wL = mesh.face_length * fluxes.pi_star_L
+    wR = -(mesh.face_length * fluxes.pi_star_R)
+    force = np.empty((mesh.n_cells, 2))
+    for d in (0, 1):
+        nd = mesh.face_normal[:, d]
+        force[:, d] = mesh.cell_sums(wL * nd, wR * nd) / mesh.area
+    return force
 
 
 def acoustic_cfl_fraction(mesh, tau, fluxes, dt):
     """dt * max_j(tau_j * max_k sigma_jk * a_jk); must be <= 1/2 for the
-    explicit scheme."""
+    explicit scheme.  One max over both sides of every face (tau 0 on a
+    ghost side) gives the per-cell max bit for bit: rounding is monotone."""
     n = mesh.n_cells
     w = mesh.face_length * fluxes.a
-    return dt * np.max(tau[:n] * mesh.cell_max(w, w) / mesh.area)
+    tau0 = np.zeros(mesh.n_total)
+    tau0[:n] = tau[:n]
+    area = np.append(mesh.area, np.ones(mesh.n_ghost))
+    return dt * max(np.max(tau0[cells] * w / area[cells])
+                    for cells in (mesh.face_owner, mesh.face_neighbor))
 
 
 def _extend_ghosts(arr, donor, n_cells):
@@ -83,7 +95,8 @@ def _extend_ghosts(arr, donor, n_cells):
 
 def _tau_update(mesh, tau, dt, fluxes):
     n = mesh.n_cells
-    divu = _divergence(mesh, fluxes)
+    # sum_k sigma_jk u_star_jk, the neighbor seeing -u_star
+    divu = mesh.cell_sums(mesh.face_length * fluxes.u_star) / mesh.area
     tau1 = tau.copy()
     tau1[:n] = tau[:n] + tau[:n] * dt * divu
     bad = np.nonzero(tau1[:n] <= 0.0)[0]
@@ -121,29 +134,22 @@ def explicit_acoustic(tn: TimeLevel, mesh, dt, donor, cfl_bound=None,
 
     tau1 = _tau_update(mesh, r.tau, dt, fluxes)
 
-    # u update: owner sees pi_star_L * n, neighbor sees pi_star_R * (-n).
-    wL = mesh.face_length * fluxes.pi_star_L
-    wR = mesh.face_length * fluxes.pi_star_R
-    acc_x = mesh.cell_sums(wL * mesh.face_normal[:, 0],
-                           -wR * mesh.face_normal[:, 0]) / mesh.area
-    acc_y = mesh.cell_sums(wL * mesh.face_normal[:, 1],
-                           -wR * mesh.face_normal[:, 1]) / mesh.area
+    force = _pressure_force(mesh, fluxes)
     u1 = r.u.copy()
-    u1[:n, 0] = r.u[:n, 0] - r.tau[:n] * dt * acc_x
-    u1[:n, 1] = r.u[:n, 1] - r.tau[:n] * dt * acc_y
+    u1[:n] -= (r.tau[:n] * dt)[:, None] * force
 
     pi1 = None
     if update_pi:
         # Pi update with the face-local impedance squared.
         wa = mesh.face_length * fluxes.a * fluxes.a * fluxes.u_star
-        acc_pi = mesh.cell_sums(wa, -wa) / mesh.area
+        acc_pi = mesh.cell_sums(wa) / mesh.area
         pi1 = r.pi.copy()
         pi1[:n] = r.pi[:n] - r.tau[:n] * dt * acc_pi
         _extend_ghosts(pi1, donor, n)
 
     _extend_ghosts(tau1, donor, n)
     _extend_ghosts(u1, donor, n)
-    return AcousticResult(RelaxedField(tau1, u1, pi1), fluxes, dt)
+    return AcousticResult(RelaxedField(tau1, u1, pi1), fluxes, force, dt)
 
 
 @dataclass
@@ -286,7 +292,7 @@ def assemble_implicit(tn: TimeLevel, mesh, dt,
     wx, wy, wa = nx * hs, ny * hs, a * hs
     b = x0 - np.column_stack([T * mesh.cell_sums(wx, wx),
                               T * mesh.cell_sums(wy, wy),
-                              -T * mesh.cell_sums(wa, -wa)]).ravel()
+                              -T * mesh.cell_sums(wa)]).ravel()
     return LinearSystem(A=A, b=b, x0=x0, n_cells=n, dt=dt)
 
 
@@ -316,11 +322,11 @@ def solve_implicit(system: LinearSystem, tol, max_iter=500):
         f"residual {res:.3e} > {tol:.1e} * ||b||", residual=res)
 
 
-def implicit_acoustic(tn: TimeLevel, mesh, topo, p: Params, dt, donor,
+def implicit_acoustic(tn: TimeLevel, mesh, p: Params, dt, donor,
                       pattern: ImplicitPattern) -> AcousticResult:
     """Implicit acoustic step: assemble, solve, back-substitute tau and
-    evaluate the sharp-level face fluxes with the frozen time-n theta.
-    ``pattern`` is handed to ``assemble_implicit``."""
+    evaluate the sharp-level face fluxes with the time-n a, theta and src
+    frozen.  ``pattern`` is handed to ``assemble_implicit``."""
     n = mesh.n_cells
     r = tn.relaxed
     system = assemble_implicit(tn, mesh, dt, pattern)
@@ -333,8 +339,9 @@ def implicit_acoustic(tn: TimeLevel, mesh, topo, p: Params, dt, donor,
     _extend_ghosts(u1, donor, n)
     _extend_ghosts(pi1, donor, n)
 
-    fluxes = evaluate_face_fluxes(mesh, u1, pi1, tn.h, topo.z, p,
-                                  theta=tn.fluxes.theta)
+    fluxes = evaluate_face_fluxes(mesh, u1, pi1, None, None, p,
+                                  frozen=tn.fluxes)
     tau1 = _tau_update(mesh, r.tau, dt, fluxes)
     _extend_ghosts(tau1, donor, n)
-    return AcousticResult(RelaxedField(tau1, u1, pi1), fluxes, dt)
+    return AcousticResult(RelaxedField(tau1, u1, pi1), fluxes,
+                          _pressure_force(mesh, fluxes), dt)

@@ -121,33 +121,33 @@ def ghost_topography(z_interior, mesh, donor) -> Topography:
     return Topography(z=z)
 
 
-def _speed_cell_max(mesh, tau, fluxes, transport_only):
-    """Per-cell max over incident faces of max(v_acou, v_trans), then the
-    time-step denominator max_j(perimeter_ratio_j * that max)."""
+def _speed_max(mesh, tau, fluxes):
+    """The time-step denominator max_j(perimeter_ratio_j max_k max(tau_j a,
+    |u*|)) over the faces k of cell j (|u*| only when ``tau`` is None), as
+    one max over both sides of every face, ratio 0 on a ghost side: the
+    per-cell max bit for bit, since rounding is monotone."""
+    r_o, r_nb = mesh.side_ratio
     vt = np.abs(fluxes.u_star)
-    if transport_only:
-        m = mesh.cell_max(vt, vt)
-    else:
-        m = mesh.cell_max(np.maximum(tau[mesh.face_owner] * fluxes.a, vt),
-                          np.maximum(tau[mesh.face_neighbor] * fluxes.a, vt))
-    return np.max(mesh.perimeter_ratio * m)
+    if tau is None:
+        return np.max(np.maximum(r_o, r_nb) * vt)
+    return max(np.max(np.maximum(tau[cells] * fluxes.a, vt) * r)
+               for cells, r in ((mesh.face_owner, r_o),
+                                (mesh.face_neighbor, r_nb)))
+
+
+def _cfl_dt(denom, p: Params, dt_max):
+    return dt_max if denom <= 0.0 else min(p.k_cfl / (2.0 * denom), dt_max)
 
 
 def dt_exex(mesh, tau, fluxes, p: Params, dt_max):
     """Explicit time step K_CFL / (2 max_j(ratio_j max_k max(tau_j a, |u|)))
     evaluated from the time-n fluxes, clamped to dt_max."""
-    denom = _speed_cell_max(mesh, tau, fluxes, transport_only=False)
-    if denom <= 0.0:
-        return dt_max
-    return min(p.k_cfl / (2.0 * denom), dt_max)
+    return _cfl_dt(_speed_max(mesh, tau, fluxes), p, dt_max)
 
 
 def dt_imex(mesh, fluxes, p: Params, dt_max):
     """IMEX time step: constrained by the transport speeds |u_star| only."""
-    denom = _speed_cell_max(mesh, None, fluxes, transport_only=True)
-    if denom <= 0.0:
-        return dt_max
-    return min(p.k_cfl / (2.0 * denom), dt_max)
+    return _cfl_dt(_speed_max(mesh, None, fluxes), p, dt_max)
 
 
 @dataclass
@@ -185,7 +185,7 @@ def time_level(state: RunState) -> TimeLevel:
     relaxed = to_relaxed(state.conserved, p, n_interior=mesh.n_cells)
     h = state.conserved.h
     fluxes = evaluate_face_fluxes(mesh, relaxed.u, relaxed.pi, h,
-                                  state.topo.z, p)
+                                  state.topo.dz, p)
     return TimeLevel(relaxed, h, fluxes)
 
 
@@ -217,11 +217,14 @@ def advance(state: RunState, t_remaining: float, dt_max: float) -> float:
         # dt.  During fast transients the new speeds can overshoot it, so
         # the step is rejected and re-solved at a smaller dt until the
         # transport CFL holds (positivity requires it).
+        n_pos = 0
         for _ in range(20):
+            tried, frac = dt, math.nan    # nan: positivity rejected it
             try:
-                ac = implicit_acoustic(tn, mesh, state.topo, p, dt,
-                                       state.donor, pattern=state.pattern)
+                ac = implicit_acoustic(tn, mesh, p, dt, state.donor,
+                                       pattern=state.pattern)
             except PositivityError as exc:
+                n_pos += 1
                 dt = min(0.5 * dt, exc.suggested_dt or 0.5 * dt)
                 continue
             frac = transport_cfl_fraction(mesh, ac.fluxes, dt)
@@ -229,7 +232,11 @@ def advance(state: RunState, t_remaining: float, dt_max: float) -> float:
                 break
             dt = p.k_cfl * dt / frac
         else:
-            raise CFLError("IMEX step rejected repeatedly")
+            raise CFLError(
+                f"IMEX step rejected repeatedly: last attempt dt = "
+                f"{tried:.3e}, transport CFL fraction {frac:.3e}; "
+                f"{20 - n_pos} attempts failed on the transport CFL, "
+                f"{n_pos} on positivity")
         cfl_bound = frac
         state.next_dt = dt_imex(mesh, ac.fluxes, p, dt_max)
     state.conserved = combined_update(state.conserved, ac, mesh, p, dt,
@@ -246,6 +253,8 @@ def prepare_state(mesh, topo: Topography, initial: ConservedField,
     n = mesh.n_cells
     if len(topo.z) == n:
         topo = ghost_topography(topo.z, mesh, donor)
+    topo = Topography(topo.z, dz=topo.z[mesh.face_neighbor]
+                      - topo.z[mesh.face_owner])
     if len(initial.h) == n:
         full = ConservedField(np.empty(mesh.n_total),
                               np.empty((mesh.n_total, 2)))

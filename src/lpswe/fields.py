@@ -77,7 +77,8 @@ class RelaxedField:
 class Topography:
     """Fixed bottom elevation per cell, ghost entries included."""
 
-    z: np.ndarray    # (n_total,)
+    z: np.ndarray           # (n_total,)
+    dz: np.ndarray = None   # (n_faces,) z[neighbor] - z[owner], per run
 
 
 def sound_speed(h, g):

@@ -32,20 +32,17 @@ class FaceFlux:
     src: np.ndarray     # hydrostatic source bracket of the time-n depths
 
 
-def impedance(h_L, h_R, p: Params, c_L=None, c_R=None):
+def impedance(h_L, h_R, p: Params):
     """Interface acoustic impedance a = kappa * max(h_L c_L, h_R c_R).
 
     kappa > 1 enforces the sub-characteristic condition a > h c on both
-    sides.  Symmetric in (L, R) by construction.  ``c_L``/``c_R`` are the
-    sound speeds of h_L/h_R when the caller has taken them (and checked
-    the depths positive); otherwise they are taken here.
+    sides.  Symmetric in (L, R) by construction.
     """
     h_L = np.asarray(h_L, dtype=float)
     h_R = np.asarray(h_R, dtype=float)
-    if c_L is None:
-        if np.any(h_L <= 0.0) or np.any(h_R <= 0.0):
-            raise ValueError("non-positive depth in impedance")
-        c_L, c_R = sound_speed(h_L, p.g), sound_speed(h_R, p.g)
+    if np.any(h_L <= 0.0) or np.any(h_R <= 0.0):
+        raise ValueError("non-positive depth in impedance")
+    c_L, c_R = sound_speed(h_L, p.g), sound_speed(h_R, p.g)
     return p.kappa * np.maximum(h_L * c_L, h_R * c_R)
 
 
@@ -64,18 +61,15 @@ def interface_velocity(u_nL, u_nR, pi_L, pi_R, a, src):
     return (u_nL + u_nR) / 2.0 - (pi_R - pi_L) / (2.0 * a) - src / (2.0 * a)
 
 
-def theta_policy(u_star_n, h_L, h_R, p: Params, c_L=None, c_R=None):
+def theta_policy(u_star_n, h_L, h_R, p: Params):
     """Low-Froude scaling of the pressure-flux velocity-jump term.
 
     corrected: min(|u_star_n| / max(c_L, c_R), 1), a local Froude estimate
-    built from the time-n interface velocity; unity: 1.  The sound speeds
-    ``c_L``/``c_R`` are taken from h_L/h_R unless given.
+    built from the time-n interface velocity; unity: 1.
     """
     if p.theta_policy == "unity":
         return np.ones_like(np.asarray(u_star_n, dtype=float))
-    if c_L is None:
-        c_L, c_R = sound_speed(h_L, p.g), sound_speed(h_R, p.g)
-    c = np.maximum(c_L, c_R)
+    c = np.maximum(sound_speed(h_L, p.g), sound_speed(h_R, p.g))
     if np.any(c <= 0.0):
         raise ValueError("zero sound speed on both sides of a face")
     return np.minimum(np.abs(u_star_n) / c, 1.0)
@@ -89,38 +83,58 @@ def interface_pressures(pi_L, pi_R, u_nL, u_nR, a, theta, src):
     return pi_c + src / 2.0, pi_c - src / 2.0
 
 
-def evaluate_face_fluxes(mesh, u, pi, h_n, z, p: Params,
-                         theta=None) -> FaceFlux:
-    """Vectorized flux evaluation over every face of the mesh.
+def evaluate_face_fluxes(mesh, u, pi, h_n, dz, p: Params,
+                         frozen: FaceFlux = None) -> FaceFlux:
+    """The kernels above over every face, bit for bit, computed in place.
 
-    ``u``/``pi`` are the states at the flux level; ``h_n`` and ``z`` supply
-    the time-n impedance and source bracket.  When ``theta`` is None it is
-    computed from the interface velocity of the (u, pi) states themselves,
-    which is the correct thing to do only when those are time-n states;
-    the implicit path passes the frozen time-n theta explicitly.
-
-    Every cell (ghosts included) borders a face, so the depths are checked
-    and the sound speeds taken once per cell, then gathered to the faces.
+    ``u``/``pi`` are the states at the flux level; ``h_n`` and ``dz`` (the
+    face bottom jump z[neighbor] - z[owner]) give the time-n impedance and
+    source bracket, and theta comes from the interface velocity of (u, pi),
+    which is right only for time-n states.  The implicit path passes the
+    time-n fluxes as ``frozen`` to reuse their a, theta and src instead.
+    As h sqrt(g h) and sqrt(g h) grow with h, a and theta take the sound
+    speed c = sqrt(g max(h_L, h_R)) of the deeper side only.
     """
-    o = mesh.face_owner
-    nb = mesh.face_neighbor
-    nx = mesh.face_normal[:, 0]
-    ny = mesh.face_normal[:, 1]
-
-    if np.any(h_n <= 0.0):
-        raise ValueError("non-positive depth in impedance")
-    c = sound_speed(h_n, p.g)
-    h_L, h_R = h_n[o], h_n[nb]
-    c_L, c_R = c[o], c[nb]
-    a = impedance(h_L, h_R, p, c_L, c_R)
-    src = hydrostatic_source(h_L, h_R, z[o], z[nb], p.g)
-    pi_o, pi_nb = pi[o], pi[nb]
+    o, nb = mesh.face_owner, mesh.face_neighbor
+    nx, ny = mesh.face_normal[:, 0], mesh.face_normal[:, 1]
+    if frozen is None:
+        if np.any(h_n <= 0.0):
+            raise ValueError("non-positive depth in impedance")
+        h_L, h_R = h_n[o], h_n[nb]
+        a = np.maximum(h_L, h_R)
+        c = p.g * a
+        a *= np.sqrt(c, out=c)
+        a *= p.kappa
+        src = np.multiply(np.add(h_L, h_R, out=h_L), p.g, out=h_L)
+        src /= 2.0
+        src *= dz
+    else:
+        a, src = frozen.a, frozen.src
     ux, uy = u[:, 0], u[:, 1]    # column gathers are cheaper than u[o, 0]
-    u_nL = ux[o] * nx + uy[o] * ny
-    u_nR = ux[nb] * nx + uy[nb] * ny
-    u_star = interface_velocity(u_nL, u_nR, pi_o, pi_nb, a, src)
-    if theta is None:
-        theta = theta_policy(u_star, h_L, h_R, p, c_L, c_R)
-    pi_L, pi_R = interface_pressures(pi_o, pi_nb, u_nL, u_nR, a, theta, src)
-    return FaceFlux(u_star=u_star, pi_star_L=pi_L, pi_star_R=pi_R,
+    u_nL, u_nR, buf = ux[o], ux[nb], uy[o]
+    u_nL *= nx
+    u_nR *= nx
+    u_nL += np.multiply(buf, ny, out=buf)
+    u_nR += np.multiply(np.take(uy, nb, out=buf), ny, out=buf)
+    pi_o, pi_nb = pi[o], pi[nb]
+    two_a = 2.0 * a
+    u_star = u_nL + u_nR
+    u_star /= 2.0
+    u_star -= np.divide(np.subtract(pi_nb, pi_o, out=buf), two_a, out=buf)
+    u_star -= np.divide(src, two_a, out=buf)
+    if frozen is not None:
+        theta = frozen.theta
+    elif p.theta_policy == "unity":
+        theta = np.ones_like(u_star)
+    else:
+        theta = np.divide(np.abs(u_star), c, out=c)
+        np.minimum(theta, 1.0, out=theta)
+    du = np.subtract(u_nR, u_nL, out=u_nR)
+    du *= np.multiply(theta, a, out=two_a)
+    pi_c = np.add(pi_o, pi_nb, out=pi_o)
+    pi_c /= 2.0
+    pi_c -= np.divide(du, 2.0, out=du)
+    np.divide(src, 2.0, out=buf)
+    return FaceFlux(u_star=u_star, pi_star_L=pi_c + buf,
+                    pi_star_R=np.subtract(pi_c, buf, out=pi_c),
                     a=a, theta=theta, src=src)

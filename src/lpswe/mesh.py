@@ -59,9 +59,10 @@ class Mesh:
     def n_faces(self) -> int:
         return len(self.face_length)
 
-    def cell_sums(self, w_owner, w_neighbor):
+    def cell_sums(self, w_owner, w_neighbor=None):
         """Per-cell sums of face weights: owner cells receive ``w_owner``,
-        interior neighbor cells ``w_neighbor``.
+        interior neighbor cells ``w_neighbor``, by default ``-w_owner``
+        (subtracted, not built: the same bits).
 
         The neighbor weights are binned over the ghost ids too and the
         ghost bins dropped, which gives each interior bin the same terms in
@@ -69,22 +70,26 @@ class Mesh:
         """
         n = self.n_cells
         out = np.bincount(self.face_owner, weights=w_owner, minlength=n)
-        out += np.bincount(self.face_neighbor, weights=w_neighbor,
-                           minlength=self.n_total)[:n]
+        if w_neighbor is None:
+            out -= np.bincount(self.face_neighbor, weights=w_owner,
+                               minlength=self.n_total)[:n]
+        else:
+            out += np.bincount(self.face_neighbor, weights=w_neighbor,
+                               minlength=self.n_total)[:n]
         return out
-
-    def cell_max(self, w_owner, w_neighbor):
-        """Per-cell max of face weights (and 0), owner cells over
-        ``w_owner`` and interior neighbor cells over ``w_neighbor``."""
-        out = np.zeros(self.n_total)
-        np.maximum.at(out, self.face_owner, w_owner)
-        np.maximum.at(out, self.face_neighbor, w_neighbor)
-        return out[:self.n_cells]
 
     @cached_property
     def perimeter_ratio(self) -> np.ndarray:
         """Perimeter over area of each cell, sum_k l_k / |K_j|."""
         return self.cell_sums(self.face_length, self.face_length) / self.area
+
+    @cached_property
+    def side_ratio(self):
+        """``perimeter_ratio`` of each face's owner and of its neighbor,
+        0 for a ghost neighbor."""
+        r = np.zeros(self.n_total)
+        r[:self.n_cells] = self.perimeter_ratio
+        return r[self.face_owner], r[self.face_neighbor]
 
     def boundary_sides(self) -> np.ndarray:
         """Classify each boundary face as LEFT/RIGHT/BOTTOM/TOP.
@@ -236,7 +241,7 @@ def validate_mesh(mesh: Mesh) -> None:
     # Closed-polygon identity: sum of length-weighted outward normals is zero.
     wx, wy = mesh.face_length * mesh.face_normal.T
     perim = mesh.cell_sums(mesh.face_length, mesh.face_length)
-    if np.any(np.hypot(mesh.cell_sums(wx, -wx), mesh.cell_sums(wy, -wy))
+    if np.any(np.hypot(mesh.cell_sums(wx), mesh.cell_sums(wy))
               > 1e-12 * perim):
         raise MeshFormatError("cell faces do not close")
 

@@ -68,7 +68,7 @@ def transport(relaxed_1: RelaxedField, fluxes: FaceFlux, mesh, p: Params,
     hu1 = relaxed_1.u * h1[:, None]
 
     lu = mesh.face_length * fluxes.u_star
-    L = 1.0 + dt * mesh.cell_sums(lu, -lu) / mesh.area
+    L = 1.0 + dt * mesh.cell_sums(lu) / mesh.area
     if np.any(L < 0.0):
         raise CFLError("transport convexity factor L_j became negative")
 
@@ -78,7 +78,7 @@ def transport(relaxed_1: RelaxedField, fluxes: FaceFlux, mesh, p: Params,
                           (hu1[:, 0], out_hu, 0),
                           (hu1[:, 1], out_hu, 1)):
         pf = _upwind(mesh, fluxes, phi)
-        flux_sum = mesh.cell_sums(lu * pf, -lu * pf) / mesh.area
+        flux_sum = mesh.cell_sums(lu * pf) / mesh.area
         new = L * phi[:n] - dt * flux_sum
         if col is None:
             out[:n] = new
@@ -92,7 +92,8 @@ def combined_update(c_n: ConservedField, acoustic: AcousticResult, mesh,
                     p: Params, dt, cfl_bound=None) -> ConservedField:
     """Single-loop conservative update from time n:
     h^{n+1} = h^n - dt sum sigma h_face u_star;
-    hu^{n+1} = hu^n - dt sum sigma (hu_face u_star + Pi_face n).
+    hu^{n+1} = hu^n - dt (sum sigma hu_face u_star + force), with the
+    pressure force sum sigma Pi_face n of the acoustic step.
 
     ``cfl_bound`` is a known upper bound of the transport CFL fraction (or
     the fraction itself); the exact fraction is computed only when it is
@@ -104,27 +105,19 @@ def combined_update(c_n: ConservedField, acoustic: AcousticResult, mesh,
     r1 = acoustic.relaxed
     h1 = 1.0 / r1.tau
 
-    lu = mesh.face_length * fluxes.u_star
-    nx, ny = mesh.face_normal[:, 0], mesh.face_normal[:, 1]
-    wL = mesh.face_length * fluxes.pi_star_L
-    wR = mesh.face_length * fluxes.pi_star_R
-
     # h and hu = u h of the upwind cell of each face (w.r.t. the
     # owner-frame u_star), gathered once.
+    lu = mesh.face_length * fluxes.u_star
     up = np.where(fluxes.u_star >= 0.0, mesh.face_owner, mesh.face_neighbor)
     h_up = h1[up]
-    fh = lu * h_up
-    fx = lu * (r1.u[:, 0][up] * h_up)
-    fy = lu * (r1.u[:, 1][up] * h_up)
-
-    dh = mesh.cell_sums(fh, -fh) / mesh.area
-    dmx = mesh.cell_sums(fx + wL * nx, -fx - wR * nx) / mesh.area
-    dmy = mesh.cell_sums(fy + wL * ny, -fy - wR * ny) / mesh.area
-
     out_h = c_n.h.copy()
     out_hu = c_n.hu.copy()
-    out_h[:n] = c_n.h[:n] - dt * dh
-    out_hu[:n, 0] = c_n.hu[:n, 0] - dt * dmx
-    out_hu[:n, 1] = c_n.hu[:n, 1] - dt * dmy
+    out_h[:n] -= dt * (mesh.cell_sums(lu * h_up) / mesh.area)
+    for d in (0, 1):
+        f = r1.u[:, d][up]
+        f *= h_up
+        f *= lu
+        dm = mesh.cell_sums(f) / mesh.area
+        out_hu[:n, d] -= dt * (dm + acoustic.force[:, d])
     _check_h_positive(out_h, n)
     return ConservedField(out_h, out_hu)

@@ -71,8 +71,7 @@ def test_implicit_matches_explicit_small_dt():
     n = mesh.n_cells
     for dt in (1e-5, 5e-6):
         ex = explicit_acoustic(tn, mesh, dt, state.donor)
-        im = implicit_acoustic(tn, mesh, state.topo, p, dt, state.donor,
-                               pattern)
+        im = implicit_acoustic(tn, mesh, p, dt, state.donor, pattern)
         du = np.max(np.abs(ex.relaxed.u[:n] - im.relaxed.u[:n]))
         dpi = np.max(np.abs(ex.relaxed.pi[:n] - im.relaxed.pi[:n]))
         # difference scales like dt^2 times the flux divergence
@@ -120,8 +119,8 @@ def _check_implicit_operator_against_explicit(mesh, bc):
     pi = r.pi * (1.0 + 0.1 * rng.normal(size=mesh.n_total))
     u[n:] = u[state.donor]
     pi[n:] = pi[state.donor]
-    fluxes_x = evaluate_face_fluxes(mesh, u, pi, h_n, state.topo.z, p,
-                                    theta=tn.fluxes.theta)
+    fluxes_x = evaluate_face_fluxes(mesh, u, pi, None, None, p,
+                                    frozen=tn.fluxes)
     dt = 0.4 / acoustic_cfl_fraction(mesh, r.tau, fluxes_x, 1.0)
     system = assemble_implicit(tn, mesh, dt,
                                implicit_pattern(mesh, state.donor))
@@ -273,7 +272,7 @@ def test_solver_error_carries_residual():
 def test_implicit_large_dt_stable():
     # dt far beyond the acoustic CFL must still produce finite positive tau
     p, mesh, state, tn = _setup(scheme="IMEX")
-    ac = implicit_acoustic(tn, mesh, state.topo, p, 0.05, state.donor,
+    ac = implicit_acoustic(tn, mesh, p, 0.05, state.donor,
                            implicit_pattern(mesh, state.donor))
     n = mesh.n_cells
     assert np.all(ac.relaxed.tau[:n] > 0.0)

@@ -74,8 +74,8 @@ def _fluxes(mesh, p, h0=1.0, u0=(0.5, 0.0)):
     u = np.tile(u0, (n, 1))
     c = ConservedField(h, h[:, None] * u)
     r = to_relaxed(c, p, n_interior=mesh.n_cells)
-    z = np.zeros(n)
-    return r, evaluate_face_fluxes(mesh, r.u, r.pi, h, z, p)
+    return r, evaluate_face_fluxes(mesh, r.u, r.pi, h,
+                                   np.zeros(mesh.n_faces), p)
 
 
 def test_dt_exex_uniform_state_formula():
@@ -236,10 +236,30 @@ def test_imex_gives_up_after_repeated_rejections(monkeypatch):
     monkeypatch.setattr(drv, "transport_cfl_fraction", always_over)
     p, sc, mesh, topo, ic = _imex_dam_break()
     with pytest.raises(CFLError,
-                       match=r"^step 0: IMEX step rejected repeatedly"):
+                       match=r"^step 0: IMEX step rejected repeatedly") \
+            as exc:
         run(mesh, topo, ic, sc.bc, p, 0.01)
     assert len(dts) == 20
     assert all(b == p.k_cfl * a / 2.0 for a, b in zip(dts, dts[1:]))
+    # the message names the last attempt's dt and fraction, and the causes
+    assert str(exc.value) == (
+        f"step 0: IMEX step rejected repeatedly: last attempt dt = "
+        f"{dts[-1]:.3e}, transport CFL fraction 2.000e+00; 20 attempts "
+        f"failed on the transport CFL, 0 on positivity")
+
+
+def test_imex_give_up_message_counts_positivity(monkeypatch):
+    # rejections by positivity leave the last attempt without a fraction
+    def never_positive(tn, mesh, p, dt, donor, pattern):
+        raise PositivityError("forced", cell=0)
+
+    monkeypatch.setattr(drv, "implicit_acoustic", never_positive)
+    p, sc, mesh, topo, ic = _imex_dam_break()
+    with pytest.raises(CFLError, match=r"^step 0: IMEX step rejected "
+                       r"repeatedly: last attempt dt = \S+, transport CFL "
+                       r"fraction nan; 0 attempts failed on the transport "
+                       r"CFL, 20 on positivity$"):
+        run(mesh, topo, ic, sc.bc, p, 0.01)
 
 
 @pytest.mark.parametrize("suggested", [0.3, 0.8, None])
@@ -249,13 +269,13 @@ def test_imex_positivity_retry_dt(monkeypatch, suggested):
     dts = []
     attempt = drv.implicit_acoustic
 
-    def first_fails(tn, mesh, topo, p, dt, donor, pattern):
+    def first_fails(tn, mesh, p, dt, donor, pattern):
         dts.append(dt)
         if len(dts) == 1:
             raise PositivityError(
                 "forced", cell=0,
                 suggested_dt=None if suggested is None else suggested * dt)
-        return attempt(tn, mesh, topo, p, dt, donor, pattern=pattern)
+        return attempt(tn, mesh, p, dt, donor, pattern=pattern)
 
     monkeypatch.setattr(drv, "implicit_acoustic", first_fails)
     p, sc, mesh, topo, ic = _imex_dam_break()
@@ -311,8 +331,8 @@ def _reference_advance(state, dt_max):
         pattern = acoustic.implicit_pattern(mesh, state.donor)
         for _ in range(20):
             try:
-                ac = acoustic.implicit_acoustic(tn, mesh, state.topo, p, dt,
-                                                state.donor, pattern)
+                ac = acoustic.implicit_acoustic(tn, mesh, p, dt, state.donor,
+                                                pattern)
             except PositivityError as exc:
                 dt = min(0.5 * dt, exc.suggested_dt or 0.5 * dt)
                 continue

@@ -75,6 +75,15 @@ def test_perimeter_ratio_right_triangle(monkeypatch):
     assert calls == [m]
 
 
+@pytest.mark.parametrize("build", [meshmod.build_cartesian,
+                                   meshmod.build_triangulated])
+def test_cell_sums_neighbor_side_defaults_to_negated(build):
+    # the default neighbor weights -w are subtracted, not built
+    m = build(6, 5)
+    w = np.random.default_rng(8).normal(size=m.n_faces)
+    assert np.array_equal(m.cell_sums(w), m.cell_sums(w, -w))
+
+
 def test_boundary_sides_classification():
     m = meshmod.build_cartesian(4, 4)
     sides = m.boundary_sides()
