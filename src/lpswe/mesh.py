@@ -108,47 +108,70 @@ class Mesh:
         return np.argmin(d, axis=0)
 
 
-def _cell_geometry(vertices, offsets, ids, cell, nxt):
-    """Areas and centroids of the CSR cells of :func:`_mesh_from_cells`;
+def _cell_geometry(vertices, offsets, ids, cell, nxt, first):
+    """Cell areas and centroids for :func:`_mesh_from_cells`, and the length,
+    edge vector and midpoint of the faces owned by corners ``first``;
     raises MeshFormatError for a cell that is not ccw or not convex."""
     n_cells = len(offsets) - 1
     sizes = np.diff(offsets)
-    # Shoelace sums, reduced per polygon size so that every cell sums its
-    # terms in the same order as a sum over that cell alone.
-    x, y = vertices[ids, 0], vertices[ids, 1]
-    xn, yn = x[nxt], y[nxt]
-    cross = x * yn - xn * y
-    terms = np.stack([cross, (x + xn) * cross, (y + yn) * cross])
-    sums = np.empty((3, n_cells))
-    for k in np.unique(sizes):
-        sel = np.nonzero(sizes == k)[0]
-        corners = (offsets[sel, None] + np.arange(k)).ravel()
-        sums[:, sel] = terms[:, corners].reshape(3, -1, k).sum(axis=2)
-    areas = 0.5 * sums[0]
+    # Shoelace sums, reduced per polygon size: each cell adds its corner
+    # terms one by one in corner order, whatever its size (a contiguous
+    # ``sum(axis=1)`` adds 8 or more terms in another order).
+    if n_cells and sizes.min() == sizes.max():
+        groups = [(slice(None), slice(None), sizes[0])]
+    else:
+        groups = [(sel, (offsets[sel, None] + np.arange(k)).ravel(), k)
+                  for k in np.unique(sizes)
+                  for sel in [np.nonzero(sizes == k)[0]]]
+
+    def cell_sum(t):
+        out = np.empty(n_cells)
+        for sel, corners, k in groups:
+            cols = t[corners].reshape(-1, k).T
+            out[sel] = sum(cols[1:], cols[0])
+        return out
+
+    # Corner c runs from p to pn, in six corner arrays reused in place; a
+    # face takes its midpoint, length and edge from its owner's corner.
+    p, pn, (cross, t) = np.empty((3, 2, len(ids)))
+    np.take(vertices.T, ids, axis=1, out=p)
+    # nxt is in range: "wrap" skips the bounds check and its output buffer
+    np.take(p, nxt, axis=1, out=pn, mode="wrap")
+    np.multiply(p[0], pn[1], out=cross)
+    cross -= np.multiply(pn[0], p[1], out=t)
+    areas = 0.5 * cell_sum(cross)
     if np.any(areas <= 0.0):
         j = int(np.argmax(areas <= 0.0))
         raise MeshFormatError(
             f"cell {j} has non-positive area (vertices must be ccw)")
-    centroids = np.stack([sums[1] / (6.0 * areas),
-                          sums[2] / (6.0 * areas)], axis=1)
+    midpoint = np.empty((len(first), 2))
+    centroids = np.empty((n_cells, 2))
+    for i in (0, 1):
+        np.add(p[i], pn[i], out=t)
+        np.multiply(0.5, t[first], out=midpoint[:, i])
+        t *= cross
+        np.divide(cell_sum(t), 6.0 * areas, out=centroids[:, i])
+    (ex, ey), (exn, eyn) = np.subtract(pn, p, out=pn), p
+    length = np.hypot(ex, ey, out=t)
+    edge, face_length = pn[:, first], length[first]
 
     # Convexity: the turn from edge c to edge nxt[c] is to the left, up to
     # roundoff relative to the two edge lengths (collinear vertices pass),
     # and the turns add up to one revolution (a star polygon makes two).
-    ex, ey = xn - x, yn - y
-    turn = ex * ey[nxt] - ey * ex[nxt]
-    slack = 1e-12 * np.hypot(ex, ey) * np.hypot(ex[nxt], ey[nxt])
-    if np.any(turn < -slack):
-        c = int(np.argmax(turn < -slack))
+    np.take(pn, nxt, axis=1, out=p, mode="wrap")  # p is now (exn, eyn)
+    turn = ex * eyn - ey * exn
+    reflex = turn < -1e-12 * length * length[nxt]
+    if np.any(reflex):
+        c = int(np.argmax(reflex))
         raise MeshFormatError(
             f"cell {cell[c]} is not convex (reflex vertex {ids[nxt[c]]})")
-    angle = np.arctan2(turn, ex * ex[nxt] + ey * ey[nxt])
+    angle = np.arctan2(turn, ex * exn + ey * eyn)
     revolutions = np.bincount(cell, angle, n_cells) / (2.0 * np.pi)
     if np.any(revolutions > 1.5):
         j = int(np.argmax(revolutions > 1.5))
         raise MeshFormatError(
             f"cell {j} is not convex (its boundary winds around twice)")
-    return areas, centroids
+    return areas, centroids, face_length, edge, midpoint
 
 
 def _mesh_from_cells(vertices, offsets, vertex_ids) -> Mesh:
@@ -174,59 +197,55 @@ def _mesh_from_cells(vertices, offsets, vertex_ids) -> Mesh:
     nxt = np.arange(1, len(ids) + 1)
     nxt[offsets[1:] - 1] = offsets[:-1]
 
-    areas, centroids = _cell_geometry(vertices, offsets, ids, cell, nxt)
+    # One face per undirected edge, keyed by min * nv + max.  A stable sort
+    # of the keys puts the corners listing an edge side by side in corner
+    # order: sorted corners pos and pos + 1 are the two sides of a face.
+    b = ids[nxt]
+    key = np.minimum(ids, b) * len(vertices) + np.maximum(ids, b)
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    pos = np.nonzero(key[1:] == key[:-1])[0]
+    lo, hi = order[pos], order[pos + 1]
+    del b, key, order
+    # A fault found here is raised after those of the cell geometry.
+    fault = None
+    if np.any(triple := np.diff(pos) == 1):
+        c = lo[np.argmax(triple)]
+        fault = f"face ({ids[c]}, {ids[nxt[c]]}) shared by more than two cells"
+    elif np.any(repeated := cell[lo] == cell[hi]):
+        c = lo[np.argmax(repeated)]
+        fault = f"cell {cell[c]} repeats face ({ids[c]}, {ids[nxt[c]]})"
+    # Faces are the corners not marked -2 (second on an edge), in order.
+    partner = np.full(len(ids), -1)
+    partner[lo], partner[hi] = hi, -2
+    first = np.nonzero(partner != -2)[0]
+    last = partner[first]
+    del pos, lo, hi, partner  # the geometry below sets the memory peak
 
-    # One face per undirected edge, keyed by min * nv + max.
-    a, b = ids, ids[nxt]
-    key = np.minimum(a, b) * len(vertices) + np.maximum(a, b)
-    _, first, inverse, counts = np.unique(
-        key, return_index=True, return_inverse=True, return_counts=True)
-    if np.any(counts > 2):
-        c = first[np.argmax(counts > 2)]
-        raise MeshFormatError(
-            f"face ({a[c]}, {b[c]}) shared by more than two cells")
-    last = np.argsort(inverse, kind="stable")[np.cumsum(counts) - 1]
-    repeated = (counts == 2) & (cell[first] == cell[last])
-    if np.any(repeated):
-        c = first[np.argmax(repeated)]
-        raise MeshFormatError(f"cell {cell[c]} repeats face ({a[c]}, {b[c]})")
-    order = np.argsort(first)
-    first, last, counts = first[order], last[order], counts[order]
-    owner = cell[first]
-    neighbor = np.where(counts == 2, cell[last], -1)
-    v0s, v1s = a[first], b[first]
-
-    p0, p1 = vertices[v0s], vertices[v1s]
-    edge = p1 - p0
-    length = np.hypot(edge[:, 0], edge[:, 1])
+    areas, centroids, length, edge, midpoint = _cell_geometry(
+        vertices, offsets, ids, cell, nxt, first)
+    if fault:
+        raise MeshFormatError(fault)
     if np.any(length <= 0.0):
-        raise MeshFormatError("zero-length face")
+        c = first[np.argmax(length <= 0.0)]
+        raise MeshFormatError(
+            f"cell {cell[c]} has a zero-length face ({ids[c]}, {ids[nxt[c]]})")
     # ccw orientation of the owner polygon: outward normal is the edge
     # rotated by -90 degrees.
-    normal = np.stack([edge[:, 1], -edge[:, 0]], axis=1) / length[:, None]
-    midpoint = 0.5 * (p0 + p1)
+    normal = np.stack([edge[1], -edge[0]], axis=1)
+    normal /= length[:, None]
 
-    bmask = neighbor < 0
-    boundary_faces = np.nonzero(bmask)[0]
-    neighbor[bmask] = n_cells + np.arange(bmask.sum())
+    owner = cell[first]
+    neighbor = cell[last]
+    boundary_faces = np.nonzero(last < 0)[0]
+    neighbor[boundary_faces] = n_cells + np.arange(len(boundary_faces))
 
-    bbox = np.array([vertices[:, 0].min(), vertices[:, 0].max(),
-                     vertices[:, 1].min(), vertices[:, 1].max()])
-
-    mesh = Mesh(
-        vertices=vertices,
-        cell_offsets=offsets,
-        cell_vertex_ids=ids,
-        area=areas,
-        centroid=centroids,
-        face_owner=owner,
-        face_neighbor=neighbor,
-        face_normal=normal,
-        face_length=length,
-        face_midpoint=midpoint,
-        boundary_faces=boundary_faces,
-        bbox=bbox,
-    )
+    bbox = np.stack([vertices.min(axis=0), vertices.max(axis=0)], 1).ravel()
+    mesh = Mesh(vertices=vertices, cell_offsets=offsets, cell_vertex_ids=ids,
+                area=areas, centroid=centroids, face_owner=owner,
+                face_neighbor=neighbor, face_normal=normal,
+                face_length=length, face_midpoint=midpoint,
+                boundary_faces=boundary_faces, bbox=bbox)
     validate_mesh(mesh)
     return mesh
 

@@ -1,5 +1,10 @@
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lpswe import mesh as meshmod
 from lpswe.exceptions import MeshFormatError
@@ -170,3 +175,197 @@ def test_comments_ignored(tmp_path):
     m = meshmod.read_mesh(path)
     assert m.n_cells == 1
     assert m.area[0] == pytest.approx(0.5)
+
+
+def _reference_geometry(vertices, offsets, ids, cell, nxt):
+    """Areas and centroids in the reference form of the build: the
+    stacked shoelace terms summed per polygon size through a corner index.
+    (The reference keeps the arithmetic and leaves out the checks.)"""
+    n_cells = len(offsets) - 1
+    sizes = np.diff(offsets)
+    x, y = vertices[ids, 0], vertices[ids, 1]
+    xn, yn = x[nxt], y[nxt]
+    cross = x * yn - xn * y
+    terms = np.stack([cross, (x + xn) * cross, (y + yn) * cross])
+    sums = np.empty((3, n_cells))
+    for k in np.unique(sizes):
+        sel = np.nonzero(sizes == k)[0]
+        corners = (offsets[sel, None] + np.arange(k)).ravel()
+        sums[:, sel] = terms[:, corners].reshape(3, -1, k).sum(axis=2)
+    areas = 0.5 * sums[0]
+    centroids = np.stack([sums[1] / (6.0 * areas),
+                          sums[2] / (6.0 * areas)], axis=1)
+    return areas, centroids
+
+
+def _reference_mesh(vertices, offsets, vertex_ids):
+    """The reference form of ``_mesh_from_cells``: faces paired through
+    ``np.unique`` and two more sorts, and their geometry from the vertex
+    rows of each face."""
+    vertices = np.asarray(vertices, dtype=float)
+    offsets = np.asarray(offsets, dtype=np.intp)
+    ids = np.asarray(vertex_ids, dtype=np.intp)
+    n_cells = len(offsets) - 1
+    sizes = np.diff(offsets)
+    cell = np.repeat(np.arange(n_cells), sizes)
+    nxt = np.arange(1, len(ids) + 1)
+    nxt[offsets[1:] - 1] = offsets[:-1]
+    areas, centroids = _reference_geometry(vertices, offsets, ids, cell, nxt)
+    a, b = ids, ids[nxt]
+    key = np.minimum(a, b) * len(vertices) + np.maximum(a, b)
+    _, first, inverse, counts = np.unique(
+        key, return_index=True, return_inverse=True, return_counts=True)
+    last = np.argsort(inverse, kind="stable")[np.cumsum(counts) - 1]
+    order = np.argsort(first)
+    first, last, counts = first[order], last[order], counts[order]
+    owner = cell[first]
+    neighbor = np.where(counts == 2, cell[last], -1)
+    p0, p1 = vertices[a[first]], vertices[b[first]]
+    edge = p1 - p0
+    length = np.hypot(edge[:, 0], edge[:, 1])
+    normal = np.stack([edge[:, 1], -edge[:, 0]], axis=1) / length[:, None]
+    bmask = neighbor < 0
+    boundary_faces = np.nonzero(bmask)[0]
+    neighbor[bmask] = n_cells + np.arange(bmask.sum())
+    bbox = np.array([vertices[:, 0].min(), vertices[:, 0].max(),
+                     vertices[:, 1].min(), vertices[:, 1].max()])
+    return meshmod.Mesh(
+        vertices=vertices, cell_offsets=offsets, cell_vertex_ids=ids,
+        area=areas, centroid=centroids, face_owner=owner,
+        face_neighbor=neighbor, face_normal=normal, face_length=length,
+        face_midpoint=0.5 * (p0 + p1), boundary_faces=boundary_faces,
+        bbox=bbox)
+
+
+def _assert_same_mesh(mesh, ref):
+    for f in dataclasses.fields(meshmod.Mesh):
+        got, want = getattr(mesh, f.name), getattr(ref, f.name)
+        assert got.dtype == want.dtype, f.name
+        assert got.shape == want.shape, f.name
+        assert got.flags.c_contiguous, f.name
+        assert got.tobytes() == want.tobytes(), f.name
+
+
+def _rotated_squares(ang):
+    """Two unit squares side by side, rotated by ``ang`` about the origin."""
+    verts = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0],
+                      [0.0, 1.0], [1.0, 1.0], [2.0, 1.0]])
+    R = np.array([[np.cos(ang), -np.sin(ang)],
+                  [np.sin(ang), np.cos(ang)]])
+    return meshmod._mesh_from_cells(verts @ R.T, [0, 4, 8],
+                                    [0, 1, 4, 3, 1, 2, 5, 4])
+
+
+def _decagon():
+    """One regular decagon off the origin: a cell of more than 8 terms."""
+    ang = 2.0 * np.pi * np.arange(10) / 10
+    verts = np.stack([3.1 + np.cos(ang), -0.7 + 1.3 * np.sin(ang)], axis=1)
+    return meshmod._mesh_from_cells(verts, [0, 10], np.arange(10))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: meshmod.build_cartesian(7, 3, (-1.3, 2.2, 0.7, 5.1)),
+    lambda: meshmod.build_cartesian(24, 17),
+    lambda: meshmod.build_triangulated(9, 14, (0.0, 3.0, -1.0, 1.0)),
+    lambda: _rotated_squares(0.3),
+    lambda: _rotated_squares(2.0),
+    lambda: _decagon(),
+], ids=["cartesian", "cartesian-24x17", "triangulated", "rotated-0.3",
+        "rotated-2.0", "decagon"])
+def test_mesh_fields_equal_reference(build):
+    m = build()
+    _assert_same_mesh(m, _reference_mesh(m.vertices, m.cell_offsets,
+                                         m.cell_vertex_ids))
+
+
+def test_mixed_mesh_fields_equal_reference(mixed_mesh):
+    m = mixed_mesh
+    _assert_same_mesh(m, _reference_mesh(m.vertices, m.cell_offsets,
+                                         m.cell_vertex_ids))
+
+
+@settings(max_examples=60, deadline=None)
+@given(nx=st.integers(1, 6), ny=st.integers(1, 6),
+       split=st.sampled_from([0.0, 0.5, 1.0]),
+       seed=st.integers(0, 2**32 - 1))
+def test_jittered_mixed_cells_equal_reference(nx, ny, split, seed):
+    # convex quads (every vertex moved by under 0.2 h), a random subset
+    # split into two triangles, each cell's vertex list rotated, the cells
+    # shuffled
+    rng = np.random.default_rng(seed)
+    x0, y0 = rng.uniform(-5.0, 5.0, 2)
+    w, h = rng.uniform(0.5, 3.0, 2)
+    verts, ll = meshmod._grid_vertices(nx, ny, (x0, x0 + w, y0, y0 + h))
+    verts += rng.uniform(-0.19, 0.19, verts.shape) * min(w / nx, h / ny)
+    cells = []
+    for a in ll:
+        quad = [a, a + 1, a + nx + 2, a + nx + 1]
+        if rng.random() < split:
+            d = rng.integers(2)
+            cells += [quad[d:d + 3], quad[d + 2:] + quad[:d + 1]]
+        else:
+            cells.append(quad)
+    cells = [c[s:] + c[:s] for c in cells
+             for s in [rng.integers(len(c))]]
+    cells = [cells[i] for i in rng.permutation(len(cells))]
+    offsets = np.cumsum([0] + [len(c) for c in cells])
+    ids = np.concatenate(cells)
+    _assert_same_mesh(meshmod._mesh_from_cells(verts, offsets, ids),
+                      _reference_mesh(verts, offsets, ids))
+
+
+SQUARES = [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0], [2.0, 0.0],
+           [2.0, 1.0]]
+
+
+@pytest.mark.parametrize("verts, offsets, ids, message", [
+    (SQUARES, [0, 2], [0, 1], "cell 0 has fewer than 3 vertices"),
+    (SQUARES, [0, 4, 7], [0, 1, 2, 3, 1, 2, 4],
+     r"cell 1 has non-positive area \(vertices must be ccw\)"),
+    ([[0, 0], [2, 1], [0, 2], [1, 1]], [0, 4], [0, 1, 2, 3],
+     r"cell 0 is not convex \(reflex vertex 3\)"),
+    ([[0, 3], [-3, 1], [-2, -3], [2, -3], [3, 1]], [0, 5], [0, 2, 4, 1, 3],
+     r"cell 0 is not convex \(its boundary winds around twice\)"),
+    (SQUARES, [0, 4, 7, 10], [0, 1, 2, 3, 1, 4, 2, 1, 5, 2],
+     r"face \(1, 2\) shared by more than two cells"),
+    # vertex 0 listed three times: the zero-length edge (0, 0) twice
+    (SQUARES, [0, 5], [0, 0, 1, 2, 0], r"cell 0 repeats face \(0, 0\)"),
+    (SQUARES, [0, 4, 8], [0, 1, 2, 3, 1, 4, 4, 5],
+     r"cell 1 has a zero-length face \(4, 4\)"),
+    ([[0, 0], [1, 0], [1, 0], [0, 1]], [0, 4], [0, 1, 2, 3],
+     r"cell 0 has a zero-length face \(1, 2\)"),
+], ids=["few", "cw", "arrow", "star", "three-cells", "repeated",
+        "zero-length", "coincident"])
+def test_build_errors_name_the_cell_or_face(verts, offsets, ids, message):
+    with pytest.raises(MeshFormatError, match=f"^{message}$"):
+        meshmod._mesh_from_cells(verts, offsets, ids)
+
+
+def test_cell_faults_come_before_face_faults():
+    # a cw cell and a face of three cells: the cell is named
+    with pytest.raises(MeshFormatError, match="cell 3 has non-positive"):
+        meshmod._mesh_from_cells(SQUARES, [0, 4, 7, 10, 13],
+                                 [0, 1, 2, 3, 1, 4, 2, 1, 5, 2, 0, 2, 1])
+
+
+def test_zero_length_face_from_file(tmp_path):
+    path = tmp_path / "zero.swmesh"
+    path.write_text("SWMESH 1\n3 1\n0 0\n1 0\n0 1\n4 0 1 1 2\n")
+    with pytest.raises(MeshFormatError, match=r"zero\.swmesh: cell 0 has a "
+                       r"zero-length face \(1, 1\)$"):
+        meshmod.read_mesh(path)
+
+
+@pytest.mark.parametrize("build", [meshmod.build_cartesian,
+                                   meshmod.build_triangulated])
+def test_build_memory_peak(build):
+    # the build's traced peak, its result included, stays within 3.7 times
+    # the bytes of the mesh it returns
+    tracemalloc.start()
+    try:
+        m = build(160, 160)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = sum(getattr(m, f.name).nbytes for f in dataclasses.fields(m))
+    assert peak <= 3.7 * size
