@@ -40,7 +40,6 @@ class AcousticResult:
     relaxed: RelaxedField       # ghost entries populated via the donor copy
     fluxes: FaceFlux
     force: np.ndarray           # (n_cells, 2) sum_k l pi_star n / |K|
-    dt: float
 
 
 @dataclass
@@ -54,7 +53,6 @@ class LinearSystem:
     b: np.ndarray
     x0: np.ndarray      # time-n state (u^n, Pi^n), the Krylov start
     n_cells: int
-    dt: float
 
 
 # Largest acoustic CFL fraction the explicit step accepts (1/2 up to
@@ -149,7 +147,7 @@ def explicit_acoustic(tn: TimeLevel, mesh, dt, donor, cfl_bound=None,
 
     _extend_ghosts(tau1, donor, n)
     _extend_ghosts(u1, donor, n)
-    return AcousticResult(RelaxedField(tau1, u1, pi1), fluxes, force, dt)
+    return AcousticResult(RelaxedField(tau1, u1, pi1), fluxes, force)
 
 
 @dataclass
@@ -293,7 +291,7 @@ def assemble_implicit(tn: TimeLevel, mesh, dt,
     b = x0 - np.column_stack([T * mesh.cell_sums(wx, wx),
                               T * mesh.cell_sums(wy, wy),
                               -T * mesh.cell_sums(wa)]).ravel()
-    return LinearSystem(A=A, b=b, x0=x0, n_cells=n, dt=dt)
+    return LinearSystem(A=A, b=b, x0=x0, n_cells=n)
 
 
 def solve_implicit(system: LinearSystem, tol, max_iter=500):
@@ -344,4 +342,4 @@ def implicit_acoustic(tn: TimeLevel, mesh, p: Params, dt, donor,
     tau1 = _tau_update(mesh, r.tau, dt, fluxes)
     _extend_ghosts(tau1, donor, n)
     return AcousticResult(RelaxedField(tau1, u1, pi1), fluxes,
-                          _pressure_force(mesh, fluxes), dt)
+                          _pressure_force(mesh, fluxes))

@@ -239,7 +239,7 @@ def advance(state: RunState, t_remaining: float, dt_max: float) -> float:
                 f"{n_pos} on positivity")
         cfl_bound = frac
         state.next_dt = dt_imex(mesh, ac.fluxes, p, dt_max)
-    state.conserved = combined_update(state.conserved, ac, mesh, p, dt,
+    state.conserved = combined_update(state.conserved, ac, mesh, dt,
                                       cfl_bound=cfl_bound)
     state.t += dt
     state.step += 1

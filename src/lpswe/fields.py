@@ -69,9 +69,6 @@ class RelaxedField:
     u: np.ndarray    # (n_total, 2)
     pi: np.ndarray   # (n_total,)
 
-    def copy(self) -> "RelaxedField":
-        return RelaxedField(self.tau.copy(), self.u.copy(), self.pi.copy())
-
 
 @dataclass
 class Topography:

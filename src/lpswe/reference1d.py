@@ -46,7 +46,7 @@ def _interface_data(h, u1, pi, z, p: Params):
     src = hydrostatic_source(hL, hR, zp[:-1], zp[1:], p.g)
     u_star = interface_velocity(up[:-1], up[1:], pp[:-1], pp[1:], a, src)
     theta = theta_policy(u_star, hL, hR, p)
-    return a, src, theta, u_star, pp, up
+    return a, src, theta, u_star
 
 
 def _transport(h1, u1_1, u2_1, u_star, dx, dt):
@@ -82,13 +82,13 @@ def step1d(state: State1D, p: Params, dt) -> State1D:
     tau = 1.0 / h
     pi = p.g * h * h / 2.0
 
-    a, src, theta, u_star_n, _, _ = _interface_data(h, u1, pi, z, p)
+    a, src, theta, _ = _interface_data(h, u1, pi, z, p)
 
     if p.scheme == "EXEX":
         u_sharp, pi_sharp = u1, pi
     else:
         u_sharp, pi_sharp = _solve_implicit_1d(h, u1, pi, tau, a, src, theta,
-                                               dx, dt, p)
+                                               dx, dt)
 
     pp, up = _pad(pi_sharp), _pad(u_sharp)
     u_star = interface_velocity(up[:-1], up[1:], pp[:-1], pp[1:], a, src)
@@ -108,7 +108,7 @@ def step1d(state: State1D, p: Params, dt) -> State1D:
     return State1D(dx, hn, u1n, u2n, z.copy())
 
 
-def _solve_implicit_1d(h, u1, pi, tau, a, src, theta, dx, dt, p: Params):
+def _solve_implicit_1d(h, u1, pi, tau, a, src, theta, dx, dt):
     """Dense solve of the implicit acoustic system over (u1, Pi).
 
     Neumann ghosts are eliminated by folding their coefficients onto the
@@ -166,14 +166,13 @@ def _solve_implicit_1d(h, u1, pi, tau, a, src, theta, dx, dt, p: Params):
     return x[0::2], x[1::2]
 
 
-def dt_1d(state: State1D, p: Params, dt_max, u_star=None):
+def dt_1d(state: State1D, p: Params, dt_max):
     """1D analogue of the 2D time-step formulas (perimeter ratio 2/dx)."""
     h = state.h
     tau = 1.0 / h
     pi = p.g * h * h / 2.0
-    a, src, theta, u_star_n, _, _ = _interface_data(state.h, state.u1, pi,
-                                                    state.z, p)
-    vt = np.abs(u_star_n if u_star is None else u_star)
+    a, _, _, u_star = _interface_data(state.h, state.u1, pi, state.z, p)
+    vt = np.abs(u_star)
     if p.scheme == "EXEX":
         taup = _pad(tau)
         v = np.maximum(np.maximum(taup[:-1], taup[1:]) * a, vt)

@@ -11,7 +11,7 @@ import numpy as np
 
 from .acoustic import AcousticResult
 from .exceptions import CFLError, PositivityError
-from .fields import ConservedField, Params, RelaxedField
+from .fields import ConservedField, RelaxedField
 from .flux_kernels import FaceFlux
 
 # Largest transport CFL fraction the update accepts (1 up to roundoff).
@@ -57,7 +57,7 @@ def _check_h_positive(h, n):
             f"transport produced h <= 0 in cell {j}", cell=j)
 
 
-def transport(relaxed_1: RelaxedField, fluxes: FaceFlux, mesh, p: Params,
+def transport(relaxed_1: RelaxedField, fluxes: FaceFlux, mesh,
               dt) -> ConservedField:
     """Upwind transport of (h, hu) built from the acoustic output:
     phi^{n+1} = L_j phi_j^{n+1-} - dt sum sigma_jk u_jk phi_face, with
@@ -89,7 +89,7 @@ def transport(relaxed_1: RelaxedField, fluxes: FaceFlux, mesh, p: Params,
 
 
 def combined_update(c_n: ConservedField, acoustic: AcousticResult, mesh,
-                    p: Params, dt, cfl_bound=None) -> ConservedField:
+                    dt, cfl_bound=None) -> ConservedField:
     """Single-loop conservative update from time n:
     h^{n+1} = h^n - dt sum sigma h_face u_star;
     hu^{n+1} = hu^n - dt (sum sigma hu_face u_star + force), with the

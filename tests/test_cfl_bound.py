@@ -93,9 +93,9 @@ def test_bound_over_limit_still_raises(meshes, kind, data):
     ref = explicit_acoustic(tn, mesh, dt, state.donor)
     ac = explicit_acoustic(tn, mesh, dt, state.donor, cfl_bound=np.inf)
     assert np.array_equal(ac.relaxed.u, ref.relaxed.u)
-    out = combined_update(state.conserved, ac, mesh, p, dt, cfl_bound=np.inf)
+    out = combined_update(state.conserved, ac, mesh, dt, cfl_bound=np.inf)
     assert np.array_equal(
-        out.hu, combined_update(state.conserved, ref, mesh, p, dt).hu)
+        out.hu, combined_update(state.conserved, ref, mesh, dt).hu)
 
     # Over it, both raise.
     dt_big = dt / acoustic_cfl_fraction(mesh, r.tau, fluxes, dt)
@@ -108,7 +108,7 @@ def test_bound_over_limit_still_raises(meshes, kind, data):
         dt_big = 2.0 * dt / frac
         assert dt_big * D > TRANSPORT_CFL_LIMIT
         with pytest.raises(CFLError, match="transport CFL"):
-            combined_update(state.conserved, ac, mesh, p, dt_big,
+            combined_update(state.conserved, ac, mesh, dt_big,
                             cfl_bound=dt_big * D)
 
 

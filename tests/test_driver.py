@@ -343,7 +343,7 @@ def _reference_advance(state, dt_max):
         else:
             pytest.fail("IMEX step rejected repeatedly")
         state.next_dt = dt_imex(mesh, ac.fluxes, p, dt_max)
-    state.conserved = combined_update(state.conserved, ac, mesh, p, dt)
+    state.conserved = combined_update(state.conserved, ac, mesh, dt)
     return dt
 
 

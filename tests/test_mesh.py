@@ -154,6 +154,15 @@ def test_read_mesh_reports_line_numbers(tmp_path):
         meshmod.read_mesh(path)
 
 
+def test_read_mesh_rejects_vertex_id_past_intp(tmp_path):
+    path = tmp_path / "huge.swmesh"
+    path.write_text("SWMESH 1\n3 1\n0 0\n1 0\n0 1\n"
+                    "3 0 1 99999999999999999999\n")
+    with pytest.raises(MeshFormatError, match=r"huge\.swmesh:6: invalid cell "
+                       r"vertex id token '99999999999999999999'$"):
+        meshmod.read_mesh(path)
+
+
 def test_read_mesh_bad_header(tmp_path):
     path = tmp_path / "bad.swmesh"
     path.write_text("MESH 2\n")
@@ -310,8 +319,14 @@ def test_jittered_mixed_cells_equal_reference(nx, ny, split, seed):
     cells = [cells[i] for i in rng.permutation(len(cells))]
     offsets = np.cumsum([0] + [len(c) for c in cells])
     ids = np.concatenate(cells)
-    _assert_same_mesh(meshmod._mesh_from_cells(verts, offsets, ids),
-                      _reference_mesh(verts, offsets, ids))
+    m = meshmod._mesh_from_cells(verts, offsets, ids)
+    _assert_same_mesh(m, _reference_mesh(verts, offsets, ids))
+    # unit normals and closed cells hold by construction, up to roundoff
+    assert np.all(np.abs(np.hypot(*m.face_normal.T) - 1.0) <= 1e-14)
+    wx, wy = m.face_length * m.face_normal.T
+    perimeter = m.cell_sums(m.face_length, m.face_length)
+    assert np.all(np.hypot(m.cell_sums(wx), m.cell_sums(wy))
+                  <= 1e-12 * perimeter)
 
 
 SQUARES = [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0], [2.0, 0.0],
@@ -334,8 +349,18 @@ SQUARES = [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0], [2.0, 0.0],
      r"cell 1 has a zero-length face \(4, 4\)"),
     ([[0, 0], [1, 0], [1, 0], [0, 1]], [0, 4], [0, 1, 2, 3],
      r"cell 0 has a zero-length face \(1, 2\)"),
+    (SQUARES, [0, 4, 7], [0, 1, 2, 3, 1, 4, -1],
+     "cell 1 has out-of-range vertex id -1"),
+    (SQUARES, [0, 4, 8], [0, 1, 2, 3, 1, 4, 6, 2],
+     "cell 1 has out-of-range vertex id 6"),
+    ([[0, 0], [1, 0], [np.nan, 1], [0, 1]], [0, 4], [0, 1, 2, 3],
+     "vertex 2 has a non-finite coordinate"),
+    # vertex 3 is in no cell, but it would enter the bounding box
+    ([[0, 0], [1, 0], [0, 1], [np.inf, 0]], [0, 3], [0, 1, 2],
+     "vertex 3 has a non-finite coordinate"),
 ], ids=["few", "cw", "arrow", "star", "three-cells", "repeated",
-        "zero-length", "coincident"])
+        "zero-length", "coincident", "negative-id", "id-past-end", "nan",
+        "inf-unused"])
 def test_build_errors_name_the_cell_or_face(verts, offsets, ids, message):
     with pytest.raises(MeshFormatError, match=f"^{message}$"):
         meshmod._mesh_from_cells(verts, offsets, ids)
@@ -353,6 +378,21 @@ def test_zero_length_face_from_file(tmp_path):
     path.write_text("SWMESH 1\n3 1\n0 0\n1 0\n0 1\n4 0 1 1 2\n")
     with pytest.raises(MeshFormatError, match=r"zero\.swmesh: cell 0 has a "
                        r"zero-length face \(1, 1\)$"):
+        meshmod.read_mesh(path)
+
+
+@pytest.mark.parametrize("name, text, message", [
+    ("range", "3 1\n0 0\n1 0\n0 1\n3 0 1 3\n",
+     "cell 0 has out-of-range vertex id 3"),
+    ("nan", "3 1\n0 0\nnan 0\n0 1\n3 0 1 2\n",
+     "vertex 1 has a non-finite coordinate"),
+])
+def test_read_mesh_build_errors_carry_the_path(tmp_path, name, text,
+                                                message):
+    path = tmp_path / f"{name}.swmesh"
+    path.write_text("SWMESH 1\n" + text)
+    with pytest.raises(MeshFormatError,
+                       match=f"{name}\\.swmesh: {message}$"):
         meshmod.read_mesh(path)
 
 

@@ -38,7 +38,7 @@ def test_transport_constant_state_preserved():
     state = prepare_state(mesh, Topography(np.zeros(mesh.n_cells)), ic,
                           BoundaryCondition(), p)
     ac = explicit_acoustic(time_level(state), mesh, 1e-4, state.donor)
-    out = transport(ac.relaxed, ac.fluxes, mesh, p, 1e-4)
+    out = transport(ac.relaxed, ac.fluxes, mesh, 1e-4)
     n = mesh.n_cells
     assert np.max(np.abs(out.h[:n] - 2.0)) < 1e-13
     assert np.max(np.abs(out.hu[:n] / 2.0 - u)) < 1e-13
@@ -55,7 +55,7 @@ def test_transport_cfl_fraction_scaling():
 def test_transport_raises_on_cfl_violation():
     p, mesh, state, ac, dt = _acoustic_step()
     with pytest.raises(CFLError):
-        transport(ac.relaxed, ac.fluxes, mesh, p, dt=1e3)
+        transport(ac.relaxed, ac.fluxes, mesh, dt=1e3)
 
 
 def test_combined_update_mass_conservation_periodic():
@@ -69,7 +69,7 @@ def test_combined_update_mass_conservation_periodic():
                           BoundaryCondition.periodic_all(), p)
     dt = 1e-4
     ac = explicit_acoustic(time_level(state), mesh, dt, state.donor)
-    out = combined_update(state.conserved, ac, mesh, p, dt)
+    out = combined_update(state.conserved, ac, mesh, dt)
     n = mesh.n_cells
     m0 = np.sum(mesh.area * state.conserved.h[:n])
     m1 = np.sum(mesh.area * out.h[:n])
@@ -90,7 +90,7 @@ def test_upwind_direction():
                           BoundaryCondition(), p)
     dt = 1e-5
     ac = explicit_acoustic(time_level(state), mesh, dt, state.donor)
-    out = transport(ac.relaxed, ac.fluxes, mesh, p, dt)
+    out = transport(ac.relaxed, ac.fluxes, mesh, dt)
     # cell 5 receives mass from cell 4
     assert out.h[5] > 1.0
     # far-field cells unaffected
@@ -150,7 +150,7 @@ def test_pressure_force_summed_once_matches_single_sum(case, scheme):
         ac = implicit_acoustic(tn, mesh, p, dt, state.donor,
                                implicit_pattern(mesh, state.donor))
     n = mesh.n_cells
-    out = combined_update(state.conserved, ac, mesh, p, dt)
+    out = combined_update(state.conserved, ac, mesh, dt)
     h, hu = _single_sum_update(state.conserved, ac, mesh, dt)
     assert np.array_equal(out.h[:n], h)
     assert np.max(np.abs(out.hu[:n] - hu)) <= 1e-14 * np.max(np.abs(hu))
