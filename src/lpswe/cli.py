@@ -8,7 +8,6 @@ criteria), 2 usage or configuration error.
 """
 
 import argparse
-import dataclasses
 import os
 import sys
 
@@ -18,8 +17,8 @@ from .acceptance import (ALL_CRITERIA, EXPERIMENTS, dam_break_1d,
                          run_case, run_criteria)
 from .driver import run
 from .exceptions import ConfigError, LpsweError, MeshFormatError
-from .io import (MeshSpec, RunConfig, parse_config, write_cut_csv,
-                 write_report, write_vtk)
+from .io import (GRID_KINDS, parse_config, write_cut_csv, write_report,
+                 write_vtk)
 from .scenarios import error_norms, get_scenario, line_cut
 
 EXIT_OK = 0
@@ -27,32 +26,23 @@ EXIT_RUNTIME = 1
 EXIT_USAGE = 2
 
 
-def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
-    flags = {"scheme": args.scheme, "theta_policy": args.theta,
-             "solver_tol": args.solver_tol}
-    try:
-        cfg.params = dataclasses.replace(
-            cfg.params, **{k: v for k, v in flags.items() if v is not None})
-    except ValueError as exc:
-        raise ConfigError(str(exc))
-    if args.tf is not None:
-        cfg.t_final = args.tf
+def _flag_items(args):
+    """The run flags as (where, section, key, text) config items.  --mesh
+    takes 'KIND:NX:NY' for a GRID_KINDS kind, or a SWMESH file path."""
+    items = [(f"--{key.replace('_', '-')}", "run", key, getattr(args, key))
+             for key in ("scheme", "theta", "tf", "solver_tol")
+             if getattr(args, key) is not None]
     if args.mesh:
-        cfg.mesh = _parse_mesh_flag(args.mesh)
-    return cfg
-
-
-def _parse_mesh_flag(text) -> MeshSpec:
-    """--mesh accepts 'cartesian:NX:NY', 'tri:NX:NY' or a SWMESH file path."""
-    parts = text.split(":")
-    if parts[0] in ("cartesian", "tri"):
-        if len(parts) != 3:
-            raise ConfigError(f"--mesh {text!r}: expected kind:nx:ny")
-        try:
-            return MeshSpec(kind=parts[0], nx=int(parts[1]), ny=int(parts[2]))
-        except ValueError:
-            raise ConfigError(f"--mesh {text!r}: nx/ny must be integers")
-    return MeshSpec(kind="file", path=text)
+        kind, *dims = args.mesh.split(":")
+        if kind not in GRID_KINDS:
+            return items + [("--mesh", "mesh", "kind", "file"),
+                            ("--mesh", "mesh", "path", args.mesh)]
+        if len(dims) != 2:
+            raise ConfigError(
+                f"--mesh: expected kind:nx:ny, got {args.mesh!r}")
+        items += [("--mesh", "mesh", key, text)
+                  for key, text in zip(("kind", "nx", "ny"), (kind, *dims))]
+    return items
 
 
 def _write_outputs(out_dir, tag, sc, p, mesh, topo, report, cut_y=0.5):
@@ -88,8 +78,7 @@ def _write_outputs(out_dir, tag, sc, p, mesh, topo, report, cut_y=0.5):
 
 
 def cmd_run(args):
-    cfg = parse_config(args.config)
-    cfg = _apply_overrides(cfg, args)
+    cfg = parse_config(args.config, _flag_items(args))
     sc = get_scenario(cfg.scenario)
     mesh = cfg.mesh.build(sc.domain)
     topo, ic = sc.build(mesh, cfg.params)
@@ -165,9 +154,9 @@ def build_parser():
     p_run.add_argument("--theta", choices=("corrected", "unity"))
     p_run.add_argument("--mesh", help="cartesian:NX:NY, tri:NX:NY, "
                                       "or a SWMESH file")
-    p_run.add_argument("--tf", type=float, help="final time override")
+    p_run.add_argument("--tf", help="final time override")
     p_run.add_argument("--out", default="out", help="output directory")
-    p_run.add_argument("--solver-tol", dest="solver_tol", type=float)
+    p_run.add_argument("--solver-tol", dest="solver_tol")
     p_run.set_defaults(func=cmd_run)
 
     p_ver = sub.add_parser("verify", help="run the acceptance suite")

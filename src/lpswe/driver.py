@@ -171,7 +171,7 @@ class RunReport:
     steps: int
     wall_time: float
     dt_history: List[float]
-    mass_history: List[float]
+    mass_history: List[float]   # interior mass at t = 0, then per step
     max_froude: float
     final: ConservedField
     t_final: float
@@ -287,7 +287,7 @@ def run(mesh, topo: Topography, initial: ConservedField,
     n = mesh.n_cells
     dt_max = p.dt_max if p.dt_max is not None else max(t_final, 1e-300) / 10.0
 
-    dts, masses = [], []
+    dts, masses = [], [float(np.sum(mesh.area * state.conserved.h[:n]))]
     # Max over steps and cells of |hu|^2 / h^3 = g Fr^2, one sqrt at the end.
     max_fr2 = 0.0
     t0 = time.perf_counter()

@@ -7,6 +7,7 @@ gather both sides of every face without special cases.  Ghost entries are
 populated by the boundary-condition donor copy (see driver.apply_bc).
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,10 +35,11 @@ class Params:
     dt_max: float = None              # defaults to t_final / 10 in the driver
 
     def __post_init__(self):
-        if self.g <= 0.0:
-            raise ValueError("g must be positive")
-        if self.kappa <= 1.0:
-            raise ValueError("kappa must be > 1")
+        # Each check is false for NaN, so NaN is rejected too.
+        if not 0.0 < self.g < math.inf:
+            raise ValueError("g must be positive and finite")
+        if not 1.0 < self.kappa < math.inf:
+            raise ValueError("kappa must be > 1 and finite")
         if not (0.0 < self.k_cfl <= 1.0):
             raise ValueError("k_cfl must be in (0, 1]")
         if self.theta_policy not in ("corrected", "unity"):
@@ -48,6 +50,8 @@ class Params:
             raise ValueError("solver_tol must be positive")
         if self.solver_maxiter < 1:
             raise ValueError("solver_maxiter must be >= 1")
+        if self.dt_max is not None and not 0.0 < self.dt_max < math.inf:
+            raise ValueError("dt_max must be positive and finite")
 
 
 @dataclass

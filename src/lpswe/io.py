@@ -3,37 +3,50 @@
 """Run configuration parsing and file output (legacy VTK, CSV, reports)."""
 
 import configparser
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
 
+from . import mesh as meshmod
 from .exceptions import ConfigError
 from .fields import Params
+from .scenarios import REGISTRY
 
 _FMT = "%.17g"
+
+# Mesh kinds built from nx, ny and the domain; the other kind is "file".
+GRID_KINDS = {"cartesian": meshmod.build_cartesian,
+              "tri": meshmod.build_triangulated}
 
 
 @dataclass
 class MeshSpec:
-    kind: str = "cartesian"        # cartesian | tri | file
+    kind: str = "cartesian"        # a GRID_KINDS key, or file
     nx: int = 50
     ny: int = 50
     domain: Optional[tuple] = None  # defaults to the scenario domain
     path: Optional[str] = None
 
+    def __post_init__(self):
+        if self.kind not in (*GRID_KINDS, "file"):
+            raise ValueError(f"unknown mesh kind {self.kind!r}")
+        if not (self.nx >= 1 and self.ny >= 1):
+            raise ValueError("nx and ny must be >= 1")
+        d = self.domain
+        if d is not None and not (len(d) == 4 and np.isfinite(d).all()
+                                  and d[0] < d[1] and d[2] < d[3]):
+            raise ValueError("domain needs 4 numbers x0 x1 y0 y1, finite, "
+                             "with x0 < x1 and y0 < y1")
+
     def build(self, default_domain):
-        from . import mesh as meshmod
         if self.kind == "file":
             if not self.path:
                 raise ConfigError("mesh kind 'file' requires a path")
             return meshmod.read_mesh(self.path)
         domain = self.domain if self.domain is not None else default_domain
-        if self.kind == "cartesian":
-            return meshmod.build_cartesian(self.nx, self.ny, domain)
-        if self.kind == "tri":
-            return meshmod.build_triangulated(self.nx, self.ny, domain)
-        raise ConfigError(f"unknown mesh kind {self.kind!r}")
+        return GRID_KINDS[self.kind](self.nx, self.ny, domain=domain)
 
 
 @dataclass
@@ -45,77 +58,74 @@ class RunConfig:
     output_every: int = 0     # VTK snapshot cadence in steps; 0 = final only
     cut_y: float = 0.5
 
+    def __post_init__(self):
+        if self.scenario not in REGISTRY:
+            raise ValueError(f"unknown scenario {self.scenario!r}; "
+                             f"known: {sorted(REGISTRY)}")
+        if not 0.0 <= self.t_final < math.inf:
+            raise ValueError("t_final must be finite and >= 0")
 
-_RUN_KEYS = {
-    "scheme": str, "theta": str, "tf": float, "g": float, "kappa": float,
-    "k_cfl": float, "solver_tol": float, "solver_maxiter": int,
-    "dt_max": float, "output_every": int, "cut_y": float,
+
+# section -> key -> (cast, target).  The target is a field of RunConfig,
+# or of its mesh or params ("params.kappa").  A bad value raises
+# ValueError, from the cast or from the dataclass that checks the field.
+_KEYS = {
+    "scenario": {"name": (str, "scenario")},
+    "mesh": {"kind": (str, "mesh.kind"), "nx": (int, "mesh.nx"),
+             "ny": (int, "mesh.ny"), "path": (str, "mesh.path"),
+             "domain": (lambda text: tuple(map(float, text.split())),
+                        "mesh.domain")},
+    "run": {"scheme": (str, "params.scheme"),
+            "theta": (str, "params.theta_policy"), "tf": (float, "t_final"),
+            "g": (float, "params.g"), "kappa": (float, "params.kappa"),
+            "k_cfl": (float, "params.k_cfl"),
+            "solver_tol": (float, "params.solver_tol"),
+            "solver_maxiter": (int, "params.solver_maxiter"),
+            "dt_max": (float, "params.dt_max"),
+            "output_every": (int, "output_every"), "cut_y": (float, "cut_y")},
 }
-_MESH_KEYS = {"kind": str, "nx": int, "ny": int, "path": str, "domain": str}
-_SCENARIO_KEYS = {"name": str}
 
 
-def parse_config(path) -> RunConfig:
-    """Parse the key = value config format (strict: unknown keys error)."""
-    cp = configparser.ConfigParser(inline_comment_prefixes=("#",))
-    read = cp.read(path)
+def _replace(obj, target, value):
+    """``obj`` with its dotted field ``target`` set to ``value``.  Each
+    dataclass on the way is built anew, so it checks the new value."""
+    name, _, rest = target.partition(".")
+    if rest:
+        value = _replace(getattr(obj, name), rest, value)
+    return replace(obj, **{name: value})
+
+
+def parse_config(path, flags=()) -> RunConfig:
+    """Parse the key = value config format (strict: unknown keys error),
+    then apply ``flags``: (where, section, key, text) items such as
+    ("--tf", "run", "tf", "0.5").  File and flag items go through the same
+    casts, and an error names the file or the flag it came from."""
+    cp = configparser.ConfigParser(inline_comment_prefixes=("#",),
+                                   interpolation=None)
+    try:
+        read = cp.read(path)
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        raise ConfigError(f"{path}: {' '.join(str(exc).split())}") from None
     if not read:
         raise ConfigError(f"cannot read config file {path}")
 
     cfg = RunConfig()
-    pkw = {}
-
-    def typed(section, key, spec):
-        if key not in spec:
+    items = [(path, section, key, cp.get(section, key))
+             for section in cp.sections() for key in cp.options(section)]
+    for where, section, key, text in items + list(flags):
+        if section not in _KEYS:
+            raise ConfigError(f"{where}: unknown section [{section}]")
+        if key not in _KEYS[section]:
             raise ConfigError(
-                f"{path}: unknown key {key!r} in section [{section}]")
-        raw = cp.get(section, key)
+                f"{where}: unknown key {key!r} in section [{section}]")
+        cast, target = _KEYS[section][key]
         try:
-            return spec[key](raw)
-        except ValueError:
-            raise ConfigError(
-                f"{path}: bad value {raw!r} for {section}.{key}")
-
-    for section in cp.sections():
-        if section == "run":
-            for key in cp.options(section):
-                val = typed(section, key, _RUN_KEYS)
-                if key == "scheme":
-                    pkw["scheme"] = val
-                elif key == "theta":
-                    pkw["theta_policy"] = val
-                elif key == "tf":
-                    cfg.t_final = val
-                elif key == "output_every":
-                    cfg.output_every = val
-                elif key == "cut_y":
-                    cfg.cut_y = val
-                else:
-                    pkw[key] = val
-        elif section == "mesh":
-            for key in cp.options(section):
-                val = typed(section, key, _MESH_KEYS)
-                if key == "domain":
-                    parts = val.split()
-                    if len(parts) != 4:
-                        raise ConfigError(
-                            f"{path}: mesh.domain needs 4 numbers")
-                    cfg.mesh.domain = tuple(float(t) for t in parts)
-                else:
-                    setattr(cfg.mesh, key, val)
-        elif section == "scenario":
-            for key in cp.options(section):
-                cfg.scenario = typed(section, key, _SCENARIO_KEYS)
-        else:
-            raise ConfigError(f"{path}: unknown section [{section}]")
-
-    from .scenarios import REGISTRY
-    if cfg.scenario not in REGISTRY:
-        raise ConfigError(f"{path}: unknown scenario {cfg.scenario!r}")
-    try:
-        cfg.params = Params(**pkw)
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}")
+            cfg = _replace(cfg, target, cast(text))
+        except ValueError as exc:
+            raise ConfigError(f"{where}: bad value {text!r} for "
+                              f"{section}.{key}: {exc}") from None
+    if cfg.mesh.kind == "file" and not cfg.mesh.path:
+        raise ConfigError(f"{path}: mesh kind 'file' requires a path")
     return cfg
 
 

@@ -17,7 +17,6 @@ from .exceptions import MeshFormatError
 
 # Boundary side tags for rectangular domains.
 LEFT, RIGHT, BOTTOM, TOP = 0, 1, 2, 3
-SIDE_NAMES = ("left", "right", "bottom", "top")
 
 
 @dataclass
@@ -173,6 +172,11 @@ def _mesh_from_cells(vertices, offsets, vertex_ids) -> Mesh:
     offsets = np.asarray(offsets, dtype=np.intp)
     ids = np.asarray(vertex_ids, dtype=np.intp)
     n_cells = len(offsets) - 1
+    if n_cells < 0 or offsets[0] != 0 or offsets[-1] != len(ids):
+        raise MeshFormatError(
+            f"cell offsets must run from 0 to {len(ids)}, the number of "
+            f"vertex ids")
+    # Sizes of at least 3, checked next, make the offsets increase.
     sizes = np.diff(offsets)
     if np.any(sizes < 3):
         j = int(np.argmax(sizes < 3))
@@ -285,10 +289,14 @@ def read_mesh(path) -> Mesh:
     with counter-clockwise vertex ordering.  ``#`` starts a comment.
     """
     tokens = []  # (lineno, token)
-    with open(path, "r", encoding="ascii") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            body = line.split("#", 1)[0]
-            tokens.extend((lineno, t) for t in body.split())
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                body = line.split("#", 1)[0]
+                tokens.extend((lineno, t) for t in body.split())
+    except (OSError, UnicodeDecodeError) as exc:
+        raise MeshFormatError(
+            f"{path}: cannot read mesh file ({exc})") from None
 
     pos = 0
 

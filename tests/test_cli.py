@@ -129,3 +129,36 @@ def test_reproduce_dambreak(tmp_path, capsys):
             assert (tmp_path / f"{tag}_{suffix}").exists()
     assert (tmp_path / "dambreak1d_cut.csv").exists()
     assert "[PASS] dam break 1D/2D agreement" in out
+
+
+LAKE = "[scenario]\nname = lake_at_rest\n"
+
+
+@pytest.mark.parametrize("text, flags, named", [
+    (LAKE + "[mesh]\ndomain = 0 a 1 2\n", [], "case.cfg"),
+    (LAKE + "[run]\ntf = 1\ntf = 2\n", [], "case.cfg"),
+    ("tf = 1\n", [], "case.cfg"),
+    (LAKE + "[mesh]\nnx = 0\n", [], "case.cfg"),
+    (LAKE, ["--mesh", "cartesian:0:4"], "--mesh"),
+    (LAKE + "[mesh]\nkind = file\npath = nofile.swmesh\n", [],
+     "nofile.swmesh"),
+    (LAKE, ["--mesh", "nofile.swmesh"], "nofile.swmesh"),
+    (LAKE + "[run]\ndt_max = 0\n", [], "case.cfg"),
+    (LAKE + "[run]\ndt_max = -1\n", [], "case.cfg"),
+    (LAKE + "[run]\ndt_max = nan\n", [], "case.cfg"),
+    (LAKE + "[run]\ng = nan\n", [], "case.cfg"),
+    (LAKE + "[run]\nkappa = nan\n", [], "case.cfg"),
+    (LAKE, ["--tf", "-1"], "--tf"),
+    (LAKE, ["--tf", "nan"], "--tf"),
+], ids=["domain", "repeated-key", "no-section", "nx-0", "mesh-flag-nx-0",
+        "mesh-file-missing", "mesh-flag-file-missing", "dt_max-0",
+        "dt_max-negative", "dt_max-nan", "g-nan", "kappa-nan", "tf-negative",
+        "tf-nan"])
+def test_malformed_input_exits_2(tmp_path, capsys, text, flags, named):
+    cfg = _cfg(tmp_path, text)
+    out = tmp_path / "o"
+    code = main(["run", cfg, *flags, "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error:") and named in err
+    assert not out.exists()   # rejected before the first step

@@ -12,6 +12,7 @@ from lpswe.exceptions import (CFLError, ConfigError, LpsweError,
                               PositivityError, SolverError)
 from lpswe.fields import ConservedField, Params, Topography, to_relaxed
 from lpswe.flux_kernels import evaluate_face_fluxes
+from lpswe.io import write_report
 from lpswe.scenarios import bump_topography, dam_break, get_scenario
 from lpswe.transport import combined_update, transport_cfl_fraction
 
@@ -110,6 +111,25 @@ def test_run_reaches_final_time_exactly():
     assert rep.t_final == pytest.approx(0.037, rel=1e-12)
     assert rep.steps == len(rep.dt_history)
     assert rep.steps >= 10  # dt_max = tf/10 caps the step size
+
+
+def test_report_mass_drift_includes_first_step(tmp_path):
+    # Neumann ghosts copy h = 1 + x and u = (1, 0): more water leaves on
+    # the right than enters on the left, so one step changes the mass
+    p = Params(dt_max=1e-3)
+    mesh = meshmod.build_cartesian(8, 8)
+    h = 1.0 + mesh.centroid[:, 0]
+    ic = ConservedField(h, np.stack([h, np.zeros_like(h)], axis=1))
+    rep = run(mesh, Topography(np.zeros(mesh.n_cells)), ic,
+              BoundaryCondition(), p, 1e-3)
+    assert rep.steps == 1
+    m0 = np.sum(mesh.area * h)
+    m1 = np.sum(mesh.area * rep.final.h[:mesh.n_cells])
+    drift = abs(m1 - m0) / m0
+    assert drift > 1e-4
+    write_report(rep, tmp_path / "report.txt")
+    assert f"mass_drift_rel = {drift:.3e}" in (
+        tmp_path / "report.txt").read_text()
 
 
 def test_max_froude_matches_per_cell_formula():

@@ -19,6 +19,9 @@ def test_params_defaults():
     dict(k_cfl=0.0), dict(k_cfl=1.5), dict(theta_policy="other"),
     dict(scheme="explicit"), dict(solver_tol=0.0), dict(solver_tol=-1.0),
     dict(solver_tol=float("nan")), dict(solver_maxiter=0),
+    dict(g=float("nan")), dict(g=float("inf")), dict(kappa=float("nan")),
+    dict(kappa=float("inf")), dict(dt_max=0.0), dict(dt_max=-1.0),
+    dict(dt_max=float("nan")), dict(dt_max=float("inf")),
 ])
 def test_params_validation(kw):
     with pytest.raises(ValueError):

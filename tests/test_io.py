@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -73,6 +75,12 @@ domain = 0 2 0 1
     assert cfg.mesh.domain == (0.0, 2.0, 0.0, 1.0)
     with pytest.raises(ConfigError, match="4 numbers"):
         parse_config(_write(tmp_path, "[mesh]\ndomain = 0 1\n"))
+
+
+def test_percent_in_value_is_literal(tmp_path):
+    cfg = parse_config(_write(tmp_path,
+                              "[mesh]\nkind = file\npath = 50%.swmesh\n"))
+    assert cfg.mesh.path == "50%.swmesh"
 
 
 def test_invalid_param_combination(tmp_path):
@@ -151,3 +159,13 @@ def test_report_file(tmp_path):
     assert "steps = 3" in text
     assert "mass_drift_rel = 0.000e+00" in text
     assert "note = ok" in text
+
+
+def test_readme_example_config_parses(tmp_path):
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("Example config:\n\n```ini\n", 1)[1]
+    cfg = parse_config(_write(tmp_path, block.split("```", 1)[0]))
+    assert cfg.scenario == "dam_break"
+    assert cfg.mesh == MeshSpec(kind="tri", nx=60, ny=60)
+    assert cfg.params == Params(scheme="EXEX", theta_policy="corrected")
+    assert (cfg.t_final, cfg.output_every, cfg.cut_y) == (0.1, 0, 0.5)

@@ -358,9 +358,19 @@ SQUARES = [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0], [2.0, 0.0],
     # vertex 3 is in no cell, but it would enter the bounding box
     ([[0, 0], [1, 0], [0, 1], [np.inf, 0]], [0, 3], [0, 1, 2],
      "vertex 3 has a non-finite coordinate"),
+    # CSR offsets that do not span the ids exactly once
+    (SQUARES, [0, 3], [0, 1, 2, 3],
+     "cell offsets must run from 0 to 4, the number of vertex ids"),
+    (SQUARES, [0, 4], [0, 1, 2],
+     "cell offsets must run from 0 to 3, the number of vertex ids"),
+    (SQUARES, [1, 4], [0, 1, 2, 3],
+     "cell offsets must run from 0 to 4, the number of vertex ids"),
+    (SQUARES, [], [0, 1, 2],
+     "cell offsets must run from 0 to 3, the number of vertex ids"),
 ], ids=["few", "cw", "arrow", "star", "three-cells", "repeated",
         "zero-length", "coincident", "negative-id", "id-past-end", "nan",
-        "inf-unused"])
+        "inf-unused", "offsets-short", "offsets-long", "offsets-start",
+        "offsets-empty"])
 def test_build_errors_name_the_cell_or_face(verts, offsets, ids, message):
     with pytest.raises(MeshFormatError, match=f"^{message}$"):
         meshmod._mesh_from_cells(verts, offsets, ids)
@@ -393,6 +403,18 @@ def test_read_mesh_build_errors_carry_the_path(tmp_path, name, text,
     path.write_text("SWMESH 1\n" + text)
     with pytest.raises(MeshFormatError,
                        match=f"{name}\\.swmesh: {message}$"):
+        meshmod.read_mesh(path)
+
+
+@pytest.mark.parametrize("name, data", [
+    ("missing", None), ("binary", b"SWMESH 1\n\xff\n")],
+    ids=["missing", "binary"])
+def test_unreadable_mesh_file_names_the_path(tmp_path, name, data):
+    path = tmp_path / f"{name}.swmesh"
+    if data is not None:
+        path.write_bytes(data)
+    with pytest.raises(MeshFormatError,
+                       match=f"{name}\\.swmesh: cannot read mesh file"):
         meshmod.read_mesh(path)
 
 

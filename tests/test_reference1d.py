@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
+from lpswe.acceptance import strip_vs_1d
 from lpswe.exceptions import PositivityError
 from lpswe.fields import Params
 from lpswe.reference1d import State1D, dt_1d, run1d, step1d
 from lpswe.scenarios import bump_topography
-from lpswe.tests_support import strip_vs_1d
 
 
 def _lake(nx=50):

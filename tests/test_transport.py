@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from lpswe import mesh as meshmod
-from lpswe.acceptance import lake_at_rest_errors
+from lpswe.acceptance import combined_vs_two_step, lake_at_rest_errors
 from lpswe.acoustic import (explicit_acoustic, implicit_acoustic,
                             implicit_pattern)
 from lpswe.driver import (BoundaryCondition, dt_exex, prepare_state,
@@ -10,7 +10,6 @@ from lpswe.driver import (BoundaryCondition, dt_exex, prepare_state,
 from lpswe.exceptions import CFLError
 from lpswe.fields import ConservedField, Params, Topography
 from lpswe.scenarios import bump_topography, dam_break, get_scenario
-from lpswe.tests_support import combined_vs_two_step
 from lpswe.transport import (combined_update, transport,
                              transport_cfl_fraction)
 
