@@ -12,10 +12,10 @@ interface velocities in both cases.
 """
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .exceptions import CFLError, PositivityError, SolverError
 from .fields import Params, RelaxedField
@@ -30,6 +30,9 @@ class TimeLevel:
     relaxed: RelaxedField
     h: np.ndarray               # depth at time n, ghosts included
     fluxes: FaceFlux
+    # The last accepted implicit solve's (x_sol - x^n) / dt, interleaved as
+    # the unknowns of ``LinearSystem``: the solve starts from x^n + dt rate.
+    rate: Optional[np.ndarray] = None
 
 
 @dataclass
@@ -40,6 +43,7 @@ class AcousticResult:
     relaxed: RelaxedField       # ghost entries populated via the donor copy
     fluxes: FaceFlux
     force: np.ndarray           # (n_cells, 2) sum_k l pi_star n / |K|
+    rate: Optional[np.ndarray] = None   # implicit only, see TimeLevel.rate
 
 
 @dataclass
@@ -47,12 +51,15 @@ class LinearSystem:
     """Sparse implicit acoustic system over (u1, u2, Pi) per interior cell.
 
     Unknown ordering is interleaved: cell j owns rows/cols 3j, 3j+1, 3j+2.
+    ``solve_implicit`` sets the last two fields.
     """
 
     A: sp.csr_matrix
     b: np.ndarray
-    x0: np.ndarray      # time-n state (u^n, Pi^n), the Krylov start
+    x0: np.ndarray      # the Krylov start: x^n, or x^n + dt rate
     n_cells: int
+    iterations: int = 0          # BiCGSTAB iterations over all attempts
+    residual: float = np.nan     # true ||Ax - b|| / ||b|| of the result
 
 
 # Largest acoustic CFL fraction the explicit step accepts (1/2 up to
@@ -266,7 +273,8 @@ def assemble_implicit(tn: TimeLevel, mesh, dt,
     The structure of A comes from ``pattern`` (``implicit_pattern`` of the
     same mesh and donors); only its values are computed per call, as
     T * (S d) with the face scalars d = (theta a, 1, a^2, a), plus 1 on the
-    diagonal.
+    diagonal.  b is built from the time-n x^n; the Krylov start is x^n, or
+    x^n + dt ``tn.rate`` when the record carries the last step's rate.
     """
     n = mesh.n_cells
     r = tn.relaxed
@@ -284,14 +292,57 @@ def assemble_implicit(tn: TimeLevel, mesh, dt,
     A = sp.csr_matrix((data, pattern.indices, pattern.indptr),
                       shape=(3 * n, 3 * n))
 
-    x0 = np.column_stack([r.u[:n], r.pi[:n]]).ravel()
+    xn = np.column_stack([r.u[:n], r.pi[:n]]).ravel()
     hs = 0.5 * mesh.face_length * src
     nx, ny = mesh.face_normal.T
     wx, wy, wa = nx * hs, ny * hs, a * hs
-    b = x0 - np.column_stack([T * mesh.cell_sums(wx, wx),
+    b = xn - np.column_stack([T * mesh.cell_sums(wx, wx),
                               T * mesh.cell_sums(wy, wy),
                               -T * mesh.cell_sums(wa)]).ravel()
+    x0 = xn if tn.rate is None else xn + dt * tn.rate
     return LinearSystem(A=A, b=b, x0=x0, n_cells=n)
+
+
+def _bicgstab(A, b, x, atol, max_iter):
+    """BiCGSTAB (van der Vorst 1992) on ``x`` in place, in the order of
+    scipy's ``bicgstab``, until the updated residual norm is at most
+    ``atol`` (also after the half step).  A breakdown (rho, rhat.v, t.t or
+    omega of zero) ends it early with x finite.  Returns the iterations
+    taken, a half step counted as one."""
+    r = b - A @ x
+    rhat = r.copy()
+    p = r.copy()
+    w = np.empty_like(r)
+    for it in range(max_iter):
+        if np.linalg.norm(r) <= atol:
+            return it
+        rho = np.dot(rhat, r)
+        if rho == 0.0:
+            return it
+        if it > 0:
+            # p = r + beta (p - omega v); v is not read again
+            v *= omega
+            p -= v
+            p *= (rho / rho_prev) * (alpha / omega)
+            p += r
+        v = A @ p
+        rv = np.dot(rhat, v)
+        if rv == 0.0:
+            return it
+        alpha = rho / rv
+        r -= np.multiply(alpha, v, out=w)     # r is s from here on
+        x += np.multiply(alpha, p, out=w)
+        if np.linalg.norm(r) <= atol:
+            return it + 1
+        t = A @ r
+        tt = np.dot(t, t)
+        omega = np.dot(t, r) / tt if tt else 0.0
+        if omega == 0.0:
+            return it + 1
+        x += np.multiply(omega, r, out=w)
+        r -= np.multiply(omega, t, out=t)
+        rho_prev = rho
+    return max_iter
 
 
 def solve_implicit(system: LinearSystem, tol, max_iter=500):
@@ -300,18 +351,22 @@ def solve_implicit(system: LinearSystem, tol, max_iter=500):
 
     BiCGSTAB starts from ``system.x0`` and runs at most ``max_iter``
     iterations per attempt.  Its recursively updated residual can pass
-    while the true one misses, so the true residual is checked and the
-    iteration restarted from the last iterate at most twice.
+    while the true one misses, and a breakdown stops it, so the true
+    residual is checked and the iteration restarted from the last iterate
+    at most twice.  The iterations and the true relative residual are set
+    on ``system``.
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
     A, b = system.A, system.b
-    bound = tol * max(np.linalg.norm(b), 1e-300)
-    x = system.x0
+    b_norm = max(np.linalg.norm(b), 1e-300)
+    bound = tol * b_norm
+    x = system.x0.copy()
+    system.iterations = 0
     for _ in range(3):
-        x, _ = spla.bicgstab(A, b, x0=x, rtol=tol, atol=0.0,
-                             maxiter=max_iter)
+        system.iterations += _bicgstab(A, b, x, bound, max_iter)
         res = np.linalg.norm(A @ x - b)
+        system.residual = res / b_norm
         if res <= bound:
             xr = x.reshape(system.n_cells, 3)
             return xr[:, 0:2].copy(), xr[:, 2].copy()
@@ -330,6 +385,9 @@ def implicit_acoustic(tn: TimeLevel, mesh, p: Params, dt, donor,
     system = assemble_implicit(tn, mesh, dt, pattern)
     u_sol, pi_sol = solve_implicit(system, p.solver_tol, p.solver_maxiter)
 
+    rate = np.column_stack([u_sol - r.u[:n], pi_sol - r.pi[:n]]).ravel()
+    rate /= dt
+
     u1 = r.u.copy()
     pi1 = r.pi.copy()
     u1[:n] = u_sol
@@ -342,4 +400,4 @@ def implicit_acoustic(tn: TimeLevel, mesh, p: Params, dt, donor,
     tau1 = _tau_update(mesh, r.tau, dt, fluxes)
     _extend_ghosts(tau1, donor, n)
     return AcousticResult(RelaxedField(tau1, u1, pi1), fluxes,
-                          _pressure_force(mesh, fluxes))
+                          _pressure_force(mesh, fluxes), rate)

@@ -81,6 +81,10 @@ def cmd_run(args):
     cfg = parse_config(args.config, _flag_items(args))
     sc = get_scenario(cfg.scenario)
     mesh = cfg.mesh.build(sc.domain)
+    y0, y1 = mesh.bbox[2:]
+    if not y0 <= cfg.cut_y <= y1:
+        raise ConfigError(f"{args.config}: cut_y = {cfg.cut_y:g} is outside "
+                          f"the mesh's y range [{y0:g}, {y1:g}]")
     topo, ic = sc.build(mesh, cfg.params)
     os.makedirs(args.out, exist_ok=True)
 

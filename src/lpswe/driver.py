@@ -164,6 +164,8 @@ class RunState:
     next_dt: Optional[float] = None   # lagged dt for IMEX
     # Sparsity of the implicit system, built on the first IMEX attempt.
     pattern: Optional[ImplicitPattern] = None
+    # The last accepted implicit solve's rate (TimeLevel.rate).
+    rate: Optional[np.ndarray] = None
 
 
 @dataclass
@@ -179,14 +181,15 @@ class RunReport:
 
 def time_level(state: RunState) -> TimeLevel:
     """The time-n record a step starts from: ghosts filled from their
-    donors, Pi re-initialized at equilibrium, and the face fluxes."""
+    donors, Pi re-initialized at equilibrium, the face fluxes, and the
+    last accepted implicit solve's rate."""
     mesh, p = state.mesh, state.params
     apply_bc(state.conserved, mesh, state.donor)
     relaxed = to_relaxed(state.conserved, p, n_interior=mesh.n_cells)
     h = state.conserved.h
     fluxes = evaluate_face_fluxes(mesh, relaxed.u, relaxed.pi, h,
                                   state.topo.dz, p)
-    return TimeLevel(relaxed, h, fluxes)
+    return TimeLevel(relaxed, h, fluxes, state.rate)
 
 
 def advance(state: RunState, t_remaining: float, dt_max: float) -> float:
@@ -238,6 +241,7 @@ def advance(state: RunState, t_remaining: float, dt_max: float) -> float:
                 f"{20 - n_pos} attempts failed on the transport CFL, "
                 f"{n_pos} on positivity")
         cfl_bound = frac
+        state.rate = ac.rate
         state.next_dt = dt_imex(mesh, ac.fluxes, p, dt_max)
     state.conserved = combined_update(state.conserved, ac, mesh, dt,
                                       cfl_bound=cfl_bound)

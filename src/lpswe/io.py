@@ -64,6 +64,8 @@ class RunConfig:
                              f"known: {sorted(REGISTRY)}")
         if not 0.0 <= self.t_final < math.inf:
             raise ValueError("t_final must be finite and >= 0")
+        if not math.isfinite(self.cut_y):
+            raise ValueError("cut_y must be finite")
 
 
 # section -> key -> (cast, target).  The target is a field of RunConfig,
@@ -108,6 +110,8 @@ def parse_config(path, flags=()) -> RunConfig:
         raise ConfigError(f"{path}: {' '.join(str(exc).split())}") from None
     if not read:
         raise ConfigError(f"cannot read config file {path}")
+    if cp.defaults():
+        raise ConfigError(f"{path}: unknown section [DEFAULT]")
 
     cfg = RunConfig()
     items = [(path, section, key, cp.get(section, key))

@@ -1,8 +1,16 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import lpswe
 from lpswe import mesh as meshmod
-from lpswe.acoustic import (TimeLevel, acoustic_cfl_fraction,
+from lpswe.acoustic import (LinearSystem, TimeLevel, acoustic_cfl_fraction,
                             assemble_implicit, explicit_acoustic,
                             implicit_acoustic, implicit_pattern,
                             solve_implicit)
@@ -296,3 +304,81 @@ def test_explicit_step_without_pi_update():
     assert lean.relaxed.pi is None
     assert np.array_equal(lean.relaxed.tau, full.relaxed.tau)
     assert np.array_equal(lean.relaxed.u, full.relaxed.u)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n_cells=st.integers(1, 20), seed=st.integers(0, 2**32 - 1))
+def test_bicgstab_matches_dense_solve(n_cells, seed):
+    # nonsymmetric A = I + R / (2 ||R||): cond(A) <= 3, so the residual
+    # contract bounds the error by 3 tol relative to ||x||
+    rng = np.random.default_rng(seed)
+    n = 3 * n_cells
+    R = rng.normal(size=(n, n))
+    A = np.eye(n) + 0.5 * R / np.linalg.norm(R, 2)
+    b = rng.normal(size=n)
+    system = LinearSystem(sp.csr_matrix(A), b, rng.normal(size=n), n_cells)
+    u, pi = solve_implicit(system, tol=1e-12)
+    x = np.linalg.solve(A, b)
+    err = np.column_stack([u, pi]).ravel() - x
+    assert np.linalg.norm(err) <= 1e-11 * np.linalg.norm(x)
+    assert system.residual <= 1e-12
+
+
+def test_bicgstab_breakdown_raises_finite_solver_error():
+    # a skew-symmetric A with integer entries makes rhat.v = r.Ar exactly 0
+    # in the first iteration: every attempt breaks down before it moves x
+    rng = np.random.default_rng(5)
+    K = np.triu(rng.integers(-9, 10, (6, 6)), 1).astype(float)
+    A = K - K.T
+    b = np.arange(1.0, 7.0)
+    system = LinearSystem(sp.csr_matrix(A), b, np.zeros(6), 2)
+    with pytest.raises(SolverError) as exc:
+        solve_implicit(system, tol=1e-10)
+    assert exc.value.residual == np.linalg.norm(b)
+    assert system.iterations == 0
+    assert system.residual == 1.0
+
+
+def test_bicgstab_reports_iterations_and_residual():
+    p, mesh, state, tn = _setup(scheme="IMEX")
+    pattern = implicit_pattern(mesh, state.donor)
+    runs = []
+    for _ in range(2):
+        system = assemble_implicit(tn, mesh, 0.01, pattern)
+        u, pi = solve_implicit(system, tol=1e-10)
+        x = np.column_stack([u, pi]).ravel()
+        true = (np.linalg.norm(system.A @ x - system.b)
+                / np.linalg.norm(system.b))
+        assert system.iterations > 0
+        assert system.residual == true <= 1e-10
+        runs.append((system.iterations, system.residual))
+    assert runs[0] == runs[1]
+
+
+def test_bicgstab_imex_step_leaves_scipy_sparse_linalg_unloaded():
+    # the solve needs no scipy.sparse.linalg, whose import costs every
+    # process about 10 MB resident
+    script = """if True:
+        import sys
+        import scipy.sparse
+        if "scipy.sparse.linalg" in sys.modules:
+            sys.exit(3)   # this scipy loads it with scipy.sparse
+        from lpswe import mesh, run_steps
+        from lpswe.fields import Params
+        from lpswe.scenarios import get_scenario
+        p = Params(scheme="IMEX")
+        sc = get_scenario("dam_break")
+        m = mesh.build_cartesian(4, 4)
+        topo, ic = sc.build(m, p)
+        state = run_steps(m, topo, ic, sc.bc, p, 1, 0.01)
+        assert state.step == 1 and state.pattern is not None
+        sys.exit(4 if "scipy.sparse.linalg" in sys.modules else 0)
+    """
+    src = os.path.dirname(os.path.dirname(lpswe.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + ([os.environ["PYTHONPATH"]] if "PYTHONPATH" in os.environ
+                 else [])))
+    code = subprocess.run([sys.executable, "-c", script], env=env).returncode
+    if code == 3:
+        pytest.skip("scipy.sparse itself imports scipy.sparse.linalg")
+    assert code == 0

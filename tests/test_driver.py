@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -362,6 +364,7 @@ def _reference_advance(state, dt_max):
             dt = p.k_cfl * dt / frac
         else:
             pytest.fail("IMEX step rejected repeatedly")
+        state.rate = ac.rate
         state.next_dt = dt_imex(mesh, ac.fluxes, p, dt_max)
     state.conserved = combined_update(state.conserved, ac, mesh, dt)
     return dt
@@ -397,3 +400,35 @@ def test_advance_bitwise_equals_exact_check_stepper(case, scheme):
         assert _reference_advance(ref, 0.01) == dt
     assert np.array_equal(state.conserved.h, ref.conserved.h)
     assert np.array_equal(state.conserved.hu, ref.conserved.hu)
+
+
+def test_bicgstab_warm_start_keeps_steps_and_h(monkeypatch):
+    # each solve starts from x^n + dt rate, the last accepted solve's rate;
+    # started from x^n instead, the run takes the same steps, ends with h
+    # equal within the solver tolerance, and takes more iterations
+    p = Params(scheme="IMEX")
+    sc = get_scenario("dam_break")
+    mesh = meshmod.build_triangulated(16, 16)
+    topo, ic = sc.build(mesh, p)
+    iterations = []
+    solve = acoustic.solve_implicit
+
+    def counted(system, *args):
+        out = solve(system, *args)
+        iterations.append(system.iterations)
+        return out
+
+    monkeypatch.setattr(acoustic, "solve_implicit", counted)
+    warm = run(mesh, topo, ic, sc.bc, p, 0.1)
+    warm_iterations = sum(iterations)
+    iterations.clear()
+    attempt = drv.implicit_acoustic
+
+    def from_xn(*args, **kwargs):
+        return dataclasses.replace(attempt(*args, **kwargs), rate=None)
+
+    monkeypatch.setattr(drv, "implicit_acoustic", from_xn)
+    cold = run(mesh, topo, ic, sc.bc, p, 0.1)
+    assert warm.steps == cold.steps
+    assert np.max(np.abs(warm.final.h - cold.final.h)) <= 1e-10
+    assert warm_iterations < sum(iterations)
