@@ -336,7 +336,7 @@ def combined_vs_two_step():
         tn = time_level(state)
         dt = dt_exex(mesh, tn.relaxed.tau, tn.fluxes, p, 1e-3)
         ac = explicit_acoustic(tn, mesh, dt, state.donor)
-        two = transport(ac.relaxed, ac.fluxes, mesh, dt)
+        two = transport(ac.relaxed, ac.u_star, mesh, dt)
         one = combined_update(state.conserved, ac, mesh, dt)
         worst = max(worst, _rel(one.h[:n], two.h[:n]),
                     _rel(one.hu[:n], two.hu[:n]))

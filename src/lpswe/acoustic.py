@@ -9,13 +9,15 @@ variant solves a linear system in the per-cell unknowns (u1, u2, Pi); the
 hydrostatic source bracket and the theta correction stay frozen at time n,
 which keeps the system linear.  tau is back-substituted from the solved
 interface velocities in both cases.
+
+Only the implicit variant needs ``scipy.sparse``; it is imported on first
+use, so an explicit run never loads it.
 """
 
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-import scipy.sparse as sp
 
 from .exceptions import CFLError, PositivityError, SolverError
 from .fields import Params, RelaxedField
@@ -37,11 +39,12 @@ class TimeLevel:
 
 @dataclass
 class AcousticResult:
-    """State at t^{n+1-} plus the sharp-level face fluxes and their
-    pressure force, for reuse by the transport step."""
+    """State at t^{n+1-} plus what the update reads of the sharp-level
+    face fluxes: u_star and their pressure force.  The other face arrays
+    are not kept, so a step frees them before its update."""
 
     relaxed: RelaxedField       # ghost entries populated via the donor copy
-    fluxes: FaceFlux
+    u_star: np.ndarray          # (n_faces,) sharp-level interface velocity
     force: np.ndarray           # (n_cells, 2) sum_k l pi_star n / |K|
     rate: Optional[np.ndarray] = None   # implicit only, see TimeLevel.rate
 
@@ -54,7 +57,7 @@ class LinearSystem:
     ``solve_implicit`` sets the last two fields.
     """
 
-    A: sp.csr_matrix
+    A: "scipy.sparse.csr_matrix"
     b: np.ndarray
     x0: np.ndarray      # the Krylov start: x^n, or x^n + dt rate
     n_cells: int
@@ -154,7 +157,7 @@ def explicit_acoustic(tn: TimeLevel, mesh, dt, donor, cfl_bound=None,
 
     _extend_ghosts(tau1, donor, n)
     _extend_ghosts(u1, donor, n)
-    return AcousticResult(RelaxedField(tau1, u1, pi1), fluxes, force)
+    return AcousticResult(RelaxedField(tau1, u1, pi1), fluxes.u_star, force)
 
 
 @dataclass
@@ -172,7 +175,7 @@ class ImplicitPattern:
     indptr: np.ndarray
     indices: np.ndarray
     diag: np.ndarray
-    S: sp.csr_matrix
+    S: "scipy.sparse.csr_matrix"
 
 
 # Entry (c, k) = (e // 3, e % 3) of a face's 3x3 Jacobian block takes the
@@ -194,6 +197,8 @@ def implicit_pattern(mesh, donor) -> ImplicitPattern:
     w_c w_k is.  An entry is stored when some face gives it a nonzero
     factor, or when it is on the diagonal.
     """
+    import scipy.sparse as sp
+
     n, nf = mesh.n_cells, mesh.n_faces
     o, nb = mesh.face_owner, mesh.face_neighbor
     inner = np.nonzero(nb < n)[0]
@@ -276,6 +281,8 @@ def assemble_implicit(tn: TimeLevel, mesh, dt,
     diagonal.  b is built from the time-n x^n; the Krylov start is x^n, or
     x^n + dt ``tn.rate`` when the record carries the last step's rate.
     """
+    import scipy.sparse as sp
+
     n = mesh.n_cells
     r = tn.relaxed
     # Frozen time-n impedance, theta and source bracket.
@@ -399,5 +406,5 @@ def implicit_acoustic(tn: TimeLevel, mesh, p: Params, dt, donor,
                                   frozen=tn.fluxes)
     tau1 = _tau_update(mesh, r.tau, dt, fluxes)
     _extend_ghosts(tau1, donor, n)
-    return AcousticResult(RelaxedField(tau1, u1, pi1), fluxes,
+    return AcousticResult(RelaxedField(tau1, u1, pi1), fluxes.u_star,
                           _pressure_force(mesh, fluxes), rate)

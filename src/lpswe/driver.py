@@ -121,16 +121,16 @@ def ghost_topography(z_interior, mesh, donor) -> Topography:
     return Topography(z=z)
 
 
-def _speed_max(mesh, tau, fluxes):
+def _speed_max(mesh, u_star, tau=None, a=None):
     """The time-step denominator max_j(perimeter_ratio_j max_k max(tau_j a,
     |u*|)) over the faces k of cell j (|u*| only when ``tau`` is None), as
     one max over both sides of every face, ratio 0 on a ghost side: the
     per-cell max bit for bit, since rounding is monotone."""
     r_o, r_nb = mesh.side_ratio
-    vt = np.abs(fluxes.u_star)
+    vt = np.abs(u_star)
     if tau is None:
         return np.max(np.maximum(r_o, r_nb) * vt)
-    return max(np.max(np.maximum(tau[cells] * fluxes.a, vt) * r)
+    return max(np.max(np.maximum(tau[cells] * a, vt) * r)
                for cells, r in ((mesh.face_owner, r_o),
                                 (mesh.face_neighbor, r_nb)))
 
@@ -142,12 +142,13 @@ def _cfl_dt(denom, p: Params, dt_max):
 def dt_exex(mesh, tau, fluxes, p: Params, dt_max):
     """Explicit time step K_CFL / (2 max_j(ratio_j max_k max(tau_j a, |u|)))
     evaluated from the time-n fluxes, clamped to dt_max."""
-    return _cfl_dt(_speed_max(mesh, tau, fluxes), p, dt_max)
+    return _cfl_dt(_speed_max(mesh, fluxes.u_star, tau, fluxes.a), p,
+                   dt_max)
 
 
-def dt_imex(mesh, fluxes, p: Params, dt_max):
+def dt_imex(mesh, u_star, p: Params, dt_max):
     """IMEX time step: constrained by the transport speeds |u_star| only."""
-    return _cfl_dt(_speed_max(mesh, None, fluxes), p, dt_max)
+    return _cfl_dt(_speed_max(mesh, u_star), p, dt_max)
 
 
 @dataclass
@@ -230,7 +231,7 @@ def advance(state: RunState, t_remaining: float, dt_max: float) -> float:
                 n_pos += 1
                 dt = min(0.5 * dt, exc.suggested_dt or 0.5 * dt)
                 continue
-            frac = transport_cfl_fraction(mesh, ac.fluxes, dt)
+            frac = transport_cfl_fraction(mesh, ac.u_star, dt)
             if frac <= 1.0:
                 break
             dt = p.k_cfl * dt / frac
@@ -242,7 +243,10 @@ def advance(state: RunState, t_remaining: float, dt_max: float) -> float:
                 f"{n_pos} on positivity")
         cfl_bound = frac
         state.rate = ac.rate
-        state.next_dt = dt_imex(mesh, ac.fluxes, p, dt_max)
+        state.next_dt = dt_imex(mesh, ac.u_star, p, dt_max)
+    # The update reads only ac: freeing the time-n record here lowers the
+    # step's peak by its relaxed state and its face fluxes.
+    del tn
     state.conserved = combined_update(state.conserved, ac, mesh, dt,
                                       cfl_bound=cfl_bound)
     state.t += dt
@@ -252,13 +256,15 @@ def advance(state: RunState, t_remaining: float, dt_max: float) -> float:
 
 def prepare_state(mesh, topo: Topography, initial: ConservedField,
                   bc: BoundaryCondition, p: Params) -> RunState:
-    """Attach ghost storage and donors to interior-sized inputs."""
+    """Attach ghost storage and donors to interior-sized inputs, and the
+    face bottom jump to a topography that does not carry it yet."""
     donor = build_donor(mesh, bc)
     n = mesh.n_cells
     if len(topo.z) == n:
         topo = ghost_topography(topo.z, mesh, donor)
-    topo = Topography(topo.z, dz=topo.z[mesh.face_neighbor]
-                      - topo.z[mesh.face_owner])
+    if topo.dz is None or len(topo.dz) != mesh.n_faces:
+        topo = Topography(topo.z, dz=topo.z[mesh.face_neighbor]
+                          - topo.z[mesh.face_owner])
     if len(initial.h) == n:
         full = ConservedField(np.empty(mesh.n_total),
                               np.empty((mesh.n_total, 2)))

@@ -12,38 +12,37 @@ import numpy as np
 from .acoustic import AcousticResult
 from .exceptions import CFLError, PositivityError
 from .fields import ConservedField, RelaxedField
-from .flux_kernels import FaceFlux
 
 # Largest transport CFL fraction the update accepts (1 up to roundoff).
 TRANSPORT_CFL_LIMIT = 1.0 + 1e-12
 
 
-def transport_cfl_fraction(mesh, fluxes: FaceFlux, dt):
-    """dt * max_j sum_{k: u_jk < 0} sigma_jk |u_jk|; must be <= 1."""
+def transport_cfl_fraction(mesh, u_star, dt):
+    """dt * max_j sum_{k: u_jk < 0} sigma_jk |u_jk| of the interface
+    velocities ``u_star``; must be <= 1."""
     n = mesh.n_cells
-    u = fluxes.u_star
     l = mesh.face_length
     # Inflow for the owner when u_star < 0; for the neighbor when u_star > 0.
-    w_o = np.where(u < 0.0, l * np.abs(u), 0.0)
-    w_n = np.where(u > 0.0, l * np.abs(u), 0.0)
+    w_o = np.where(u_star < 0.0, l * np.abs(u_star), 0.0)
+    w_n = np.where(u_star > 0.0, l * np.abs(u_star), 0.0)
     acc = mesh.cell_sums(w_o, w_n) / mesh.area
     return dt * acc.max() if n else 0.0
 
 
-def _upwind(mesh, fluxes, phi):
+def _upwind(mesh, u_star, phi):
     """Face value of phi upwinded w.r.t. the owner-frame u_star
     (owner value when u_star >= 0)."""
-    return np.where(fluxes.u_star >= 0.0,
+    return np.where(u_star >= 0.0,
                     phi[mesh.face_owner], phi[mesh.face_neighbor])
 
 
-def _check_cfl(mesh, fluxes, dt, cfl_bound=None):
+def _check_cfl(mesh, u_star, dt, cfl_bound=None):
     """Raise CFLError when the transport CFL fraction is over the limit;
     the exact fraction is computed unless ``cfl_bound``, a known upper
     bound of it, is within the limit."""
     if cfl_bound is not None and cfl_bound <= TRANSPORT_CFL_LIMIT:
         return
-    frac = transport_cfl_fraction(mesh, fluxes, dt)
+    frac = transport_cfl_fraction(mesh, u_star, dt)
     if frac > TRANSPORT_CFL_LIMIT:
         raise CFLError(
             f"transport CFL violated: dt*max inflow sum = {frac:.3e} > 1")
@@ -57,17 +56,16 @@ def _check_h_positive(h, n):
             f"transport produced h <= 0 in cell {j}", cell=j)
 
 
-def transport(relaxed_1: RelaxedField, fluxes: FaceFlux, mesh,
-              dt) -> ConservedField:
+def transport(relaxed_1: RelaxedField, u_star, mesh, dt) -> ConservedField:
     """Upwind transport of (h, hu) built from the acoustic output:
     phi^{n+1} = L_j phi_j^{n+1-} - dt sum sigma_jk u_jk phi_face, with
     L_j = 1 + dt sum sigma_jk u_jk."""
-    _check_cfl(mesh, fluxes, dt)
+    _check_cfl(mesh, u_star, dt)
     n = mesh.n_cells
     h1 = 1.0 / relaxed_1.tau
     hu1 = relaxed_1.u * h1[:, None]
 
-    lu = mesh.face_length * fluxes.u_star
+    lu = mesh.face_length * u_star
     L = 1.0 + dt * mesh.cell_sums(lu) / mesh.area
     if np.any(L < 0.0):
         raise CFLError("transport convexity factor L_j became negative")
@@ -77,7 +75,7 @@ def transport(relaxed_1: RelaxedField, fluxes: FaceFlux, mesh,
     for phi, out, col in ((h1, out_h, None),
                           (hu1[:, 0], out_hu, 0),
                           (hu1[:, 1], out_hu, 1)):
-        pf = _upwind(mesh, fluxes, phi)
+        pf = _upwind(mesh, u_star, phi)
         flux_sum = mesh.cell_sums(lu * pf) / mesh.area
         new = L * phi[:n] - dt * flux_sum
         if col is None:
@@ -99,16 +97,16 @@ def combined_update(c_n: ConservedField, acoustic: AcousticResult, mesh,
     the fraction itself); the exact fraction is computed only when it is
     not given or over the limit.
     """
-    fluxes = acoustic.fluxes
-    _check_cfl(mesh, fluxes, dt, cfl_bound)
+    u_star = acoustic.u_star
+    _check_cfl(mesh, u_star, dt, cfl_bound)
     n = mesh.n_cells
     r1 = acoustic.relaxed
     h1 = 1.0 / r1.tau
 
     # h and hu = u h of the upwind cell of each face (w.r.t. the
     # owner-frame u_star), gathered once.
-    lu = mesh.face_length * fluxes.u_star
-    up = np.where(fluxes.u_star >= 0.0, mesh.face_owner, mesh.face_neighbor)
+    lu = mesh.face_length * u_star
+    up = np.where(u_star >= 0.0, mesh.face_owner, mesh.face_neighbor)
     h_up = h1[up]
     out_h = c_n.h.copy()
     out_hu = c_n.hu.copy()

@@ -355,6 +355,15 @@ def test_bicgstab_reports_iterations_and_residual():
     assert runs[0] == runs[1]
 
 
+def _exit_code(script):
+    """Exit code of ``script`` run by a fresh interpreter on this lpswe."""
+    src = os.path.dirname(os.path.dirname(lpswe.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + ([os.environ["PYTHONPATH"]] if "PYTHONPATH" in os.environ
+                 else [])))
+    return subprocess.run([sys.executable, "-c", script], env=env).returncode
+
+
 def test_bicgstab_imex_step_leaves_scipy_sparse_linalg_unloaded():
     # the solve needs no scipy.sparse.linalg, whose import costs every
     # process about 10 MB resident
@@ -374,11 +383,31 @@ def test_bicgstab_imex_step_leaves_scipy_sparse_linalg_unloaded():
         assert state.step == 1 and state.pattern is not None
         sys.exit(4 if "scipy.sparse.linalg" in sys.modules else 0)
     """
-    src = os.path.dirname(os.path.dirname(lpswe.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + ([os.environ["PYTHONPATH"]] if "PYTHONPATH" in os.environ
-                 else [])))
-    code = subprocess.run([sys.executable, "-c", script], env=env).returncode
+    code = _exit_code(script)
     if code == 3:
         pytest.skip("scipy.sparse itself imports scipy.sparse.linalg")
     assert code == 0
+
+
+def test_explicit_run_leaves_scipy_sparse_unloaded():
+    # only the implicit step needs scipy.sparse (about 20 MB resident and
+    # 0.2 s of start-up), and it imports it on first use
+    script = """if True:
+        import sys
+        import lpswe, lpswe.cli
+        from lpswe import driver, mesh
+        from lpswe.fields import Params
+        from lpswe.scenarios import get_scenario
+        sc = get_scenario("dam_break")
+        m = mesh.build_cartesian(6, 6)
+        p = Params(scheme="EXEX")
+        topo, ic = sc.build(m, p)
+        assert driver.run(m, topo, ic, sc.bc, p, 0.01).steps > 0
+        if "scipy.sparse" in sys.modules:
+            sys.exit(3)
+        p = Params(scheme="IMEX")
+        state = driver.run_steps(m, topo, ic, sc.bc, p, 1, 0.01)
+        assert state.step == 1
+        sys.exit(0 if "scipy.sparse" in sys.modules else 4)
+    """
+    assert _exit_code(script) == 0

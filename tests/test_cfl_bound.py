@@ -66,14 +66,14 @@ def test_dt_bound_covers_both_cfl_fractions(meshes, kind, bc, data):
     mesh = meshes[kind]
     p, state, tn = _state(mesh, BCS[bc], *_fields(data, mesh.n_cells))
     r, fluxes = tn.relaxed, tn.fluxes
-    D = _speed_max(mesh, r.tau, fluxes)
+    D = _speed_max(mesh, fluxes.u_star, r.tau, fluxes.a)
     dt = dt_exex(mesh, r.tau, fluxes, p, np.inf)
     assert dt * D <= 0.5 * p.k_cfl * (1.0 + 1e-15)
     # The acoustic fraction has at least a factor 2 to spare (no face is
     # longer than the rest of its convex cell's perimeter); the transport
     # fraction can meet the bound, up to the roundoff of its sums.
     assert acoustic_cfl_fraction(mesh, r.tau, fluxes, dt) <= dt * D
-    assert (transport_cfl_fraction(mesh, fluxes, dt)
+    assert (transport_cfl_fraction(mesh, fluxes.u_star, dt)
             <= dt * D * (1.0 + 1e-12))
 
 
@@ -85,7 +85,7 @@ def test_bound_over_limit_still_raises(meshes, kind, data):
     p, state, tn = _state(mesh, BCS["periodic"],
                           *_fields(data, mesh.n_cells))
     r, fluxes = tn.relaxed, tn.fluxes
-    D = _speed_max(mesh, r.tau, fluxes)
+    D = _speed_max(mesh, fluxes.u_star, r.tau, fluxes.a)
     dt = dt_exex(mesh, r.tau, fluxes, p, np.inf)
 
     # A bound over the limit sends the step to the exact fraction: within
@@ -103,7 +103,7 @@ def test_bound_over_limit_still_raises(meshes, kind, data):
     with pytest.raises(CFLError, match="acoustic CFL"):
         explicit_acoustic(tn, mesh, dt_big, state.donor,
                           cfl_bound=dt_big * D)
-    frac = transport_cfl_fraction(mesh, fluxes, dt)
+    frac = transport_cfl_fraction(mesh, fluxes.u_star, dt)
     if frac > 0.0:
         dt_big = 2.0 * dt / frac
         assert dt_big * D > TRANSPORT_CFL_LIMIT
@@ -138,10 +138,10 @@ def test_face_side_maxima_equal_per_cell_form(meshes, kind, bc, data):
         mesh, np.maximum(r.tau[o] * fluxes.a, vt),
         np.maximum(r.tau[nb] * fluxes.a, vt)))
     D_t = np.max(mesh.perimeter_ratio * _cell_max(mesh, vt, vt))
-    assert _speed_max(mesh, r.tau, fluxes) == D
-    assert _speed_max(mesh, None, fluxes) == D_t
+    assert _speed_max(mesh, fluxes.u_star, r.tau, fluxes.a) == D
+    assert _speed_max(mesh, fluxes.u_star) == D_t
     assert dt_exex(mesh, r.tau, fluxes, p, np.inf) == p.k_cfl / (2.0 * D)
-    assert dt_imex(mesh, fluxes, p, 1.0) == (
+    assert dt_imex(mesh, fluxes.u_star, p, 1.0) == (
         min(p.k_cfl / (2.0 * D_t), 1.0) if D_t > 0.0 else 1.0)
     w = mesh.face_length * fluxes.a
     dt = data.draw(st.floats(1e-6, 1.0))

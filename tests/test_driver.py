@@ -1,4 +1,5 @@
 import dataclasses
+import weakref
 
 import numpy as np
 import pytest
@@ -100,8 +101,9 @@ def test_dt_imex_only_transport_speed():
     mesh = meshmod.build_cartesian(n, n)
     r, fluxes = _fluxes(mesh, p)
     expected = p.k_cfl / (2.0 * 4.0 * n * 0.5)
-    assert dt_imex(mesh, fluxes, p, 1.0) == pytest.approx(expected, rel=1e-12)
-    assert dt_imex(mesh, fluxes, p, 1e-6) == 1e-6  # dt_max clamp
+    u_star = fluxes.u_star
+    assert dt_imex(mesh, u_star, p, 1.0) == pytest.approx(expected, rel=1e-12)
+    assert dt_imex(mesh, u_star, p, 1e-6) == 1e-6  # dt_max clamp
 
 
 def test_run_reaches_final_time_exactly():
@@ -251,7 +253,7 @@ def test_imex_gives_up_after_repeated_rejections(monkeypatch):
     # after 20 attempts
     dts = []
 
-    def always_over(mesh, fluxes, dt):
+    def always_over(mesh, u_star, dt):
         dts.append(dt)
         return 2.0
 
@@ -358,14 +360,14 @@ def _reference_advance(state, dt_max):
             except PositivityError as exc:
                 dt = min(0.5 * dt, exc.suggested_dt or 0.5 * dt)
                 continue
-            frac = transport_cfl_fraction(mesh, ac.fluxes, dt)
+            frac = transport_cfl_fraction(mesh, ac.u_star, dt)
             if frac <= 1.0:
                 break
             dt = p.k_cfl * dt / frac
         else:
             pytest.fail("IMEX step rejected repeatedly")
         state.rate = ac.rate
-        state.next_dt = dt_imex(mesh, ac.fluxes, p, dt_max)
+        state.next_dt = dt_imex(mesh, ac.u_star, p, dt_max)
     state.conserved = combined_update(state.conserved, ac, mesh, dt)
     return dt
 
@@ -432,3 +434,59 @@ def test_bicgstab_warm_start_keeps_steps_and_h(monkeypatch):
     assert warm.steps == cold.steps
     assert np.max(np.abs(warm.final.h - cold.final.h)) <= 1e-10
     assert warm_iterations < sum(iterations)
+
+
+@pytest.mark.parametrize("scheme", ["EXEX", "IMEX"])
+def test_update_runs_without_the_time_n_record(monkeypatch, scheme):
+    # the combined update reads the acoustic result only: at its entry the
+    # time-n relaxed state and every time-n face array are freed, except
+    # the u_star an explicit step hands on; refcounting makes this exact
+    time_n, alive = {}, []
+    relax, evaluate, update = (drv.to_relaxed, drv.evaluate_face_fluxes,
+                               drv.combined_update)
+
+    def record_relaxed(*args, **kwargs):
+        r = relax(*args, **kwargs)
+        time_n.clear()
+        time_n.update((k, weakref.ref(getattr(r, k)))
+                      for k in ("tau", "u", "pi"))
+        return r
+
+    def record_fluxes(*args):
+        fl = evaluate(*args)
+        time_n.update((k, weakref.ref(getattr(fl, k)))
+                      for k in ("u_star", "pi_star_L", "pi_star_R", "a",
+                                "theta", "src"))
+        return fl
+
+    def check(c_n, ac, *args, **kwargs):
+        alive.append({k for k, ref in time_n.items() if ref() is not None})
+        if scheme == "EXEX":
+            assert ac.u_star is time_n["u_star"]()
+        return update(c_n, ac, *args, **kwargs)
+
+    monkeypatch.setattr(drv, "to_relaxed", record_relaxed)
+    monkeypatch.setattr(drv, "evaluate_face_fluxes", record_fluxes)
+    monkeypatch.setattr(drv, "combined_update", check)
+    mesh, z, ic, bc = _neumann_triangles_dam_break()
+    run_steps(mesh, Topography(z), ic, bc, Params(scheme=scheme), 5, 0.01)
+    # the implicit step's u_star is its sharp level's, not time n's
+    assert alive == [{"u_star"} if scheme == "EXEX" else set()] * 5
+
+
+@pytest.mark.parametrize("scheme", ["EXEX", "IMEX"])
+def test_run_on_prepared_inputs_keeps_dz(scheme):
+    # run() prepares its inputs again; a prepared topography keeps its
+    # face bottom jump, and the run is bitwise that on the raw inputs
+    p = Params(scheme=scheme)
+    sc = get_scenario("dam_break")
+    mesh = meshmod.build_triangulated(8, 8)
+    topo, ic = sc.build(mesh, p)
+    state = prepare_state(mesh, topo, ic, sc.bc, p)
+    assert prepare_state(mesh, state.topo, state.conserved, sc.bc,
+                         p).topo.dz is state.topo.dz
+    raw = run(mesh, topo, ic, sc.bc, p, 0.02)
+    prepared = run(mesh, state.topo, state.conserved, sc.bc, p, 0.02)
+    assert raw.steps == prepared.steps > 0
+    assert np.array_equal(raw.final.h, prepared.final.h)
+    assert np.array_equal(raw.final.hu, prepared.final.hu)
