@@ -41,8 +41,8 @@ class CriterionResult:
         return f"[{status}] {self.name}: {self.detail}"
 
 
-def _velocity(conserved, n):
-    return conserved.hu[:n] / conserved.h[:n, None]
+def _velocity(conserved):
+    return conserved.hu / conserved.h[:, None]
 
 
 class Case(NamedTuple):
@@ -128,10 +128,9 @@ def _crossing(x, H, level):
 
 def lake_at_rest_errors(mesh, topo, conserved):
     """Max deviations from the lake at rest: free surface |h + z - 0.5|
-    and velocity components |u|, over the interior cells."""
-    n = mesh.n_cells
-    surf_err = float(np.max(np.abs(conserved.h[:n] + topo.z[:n] - 0.5)))
-    u_err = float(np.max(np.abs(_velocity(conserved, n))))
+    and velocity components |u|, over the cells."""
+    surf_err = float(np.max(np.abs(conserved.h + topo.z - 0.5)))
+    u_err = float(np.max(np.abs(_velocity(conserved))))
     return surf_err, u_err
 
 
@@ -154,12 +153,11 @@ def criterion_2_conservation():
     mesh = meshmod.build_cartesian(32, 32, sc.domain)
     topo, ic = sc.build(mesh, p)
     bc = BoundaryCondition.periodic_all()
-    n = mesh.n_cells
     mass0 = float(np.sum(mesh.area * ic.h))
     mom0 = (mesh.area[:, None] * ic.hu).sum(axis=0)
     state = run_steps(mesh, topo, ic, bc, p, 220, dt_max=1.0)
-    mass1 = float(np.sum(mesh.area * state.conserved.h[:n]))
-    mom1 = (mesh.area[:, None] * state.conserved.hu[:n]).sum(axis=0)
+    mass1 = float(np.sum(mesh.area * state.conserved.h))
+    mom1 = (mesh.area[:, None] * state.conserved.hu).sum(axis=0)
     mdrift = abs(mass1 - mass0) / abs(mass0)
     pdrift = np.linalg.norm(mom1 - mom0) / np.linalg.norm(mom0)
     passed = mdrift <= 1e-11 and pdrift <= 1e-11
@@ -194,8 +192,7 @@ def criterion_3_positivity():
             state = prepare_state(mesh, topo, ic, bc, p)
             for _ in range(200):
                 advance(state, np.inf, 1.0)
-                hist_min = min(hist_min,
-                               state.conserved.h[:mesh.n_cells].min())
+                hist_min = min(hist_min, state.conserved.h.min())
         except LpsweError:
             failures += 1
             continue
@@ -213,8 +210,7 @@ def criterion_4_dam_break():
     passed = True
     for case in EXPERIMENTS["dambreak"].runs.values():
         mesh, topo, _, report = run_case(case)
-        n = mesh.n_cells
-        x2, H2 = line_cut(report.final.h[:n] + topo.z[:n], mesh, 0.5)
+        x2, H2 = line_cut(report.final.h + topo.z, mesh, 0.5)
         x1, s1, _ = dam_break_1d(case.scheme)
         H1 = s1.h + s1.z
         Href = np.interp(x2, x1, H1)
@@ -238,8 +234,7 @@ def criterion_4_dam_break():
 def vortex_velocity_error(mesh, conserved, t):
     """Area-weighted L2 error of the speed |u| against the exact flat
     vortex at time t."""
-    n = mesh.n_cells
-    u = _velocity(conserved, n)
+    u = _velocity(conserved)
     xc, yc = mesh.centroid[:, 0], mesh.centroid[:, 1]
     _, ue, ve = vortex_exact(xc, yc, t, Params())
     num_mag = np.hypot(u[:, 0], u[:, 1])
@@ -281,8 +276,7 @@ def core_swirl_speed(mesh, conserved, t):
 
     The uniform background advection is subtracted: no scheme diffuses a
     uniform flow, so only the swirl measures pressure diffusion."""
-    n = mesh.n_cells
-    u = _velocity(conserved, n)
+    u = _velocity(conserved)
     center = np.array([0.5 + VORTEX_BACKGROUND_U * t, 0.5])
     r = np.hypot(mesh.centroid[:, 0] - center[0],
                  mesh.centroid[:, 1] - center[1])
@@ -329,17 +323,16 @@ def combined_vs_two_step():
     z = bump_topography(mesh.centroid[:, 0])
     ic = dam_break(mesh.centroid[:, 0], z)
     state = prepare_state(mesh, Topography(z), ic, BoundaryCondition(), p)
+    mesh = state.mesh
 
-    n = mesh.n_cells
     worst = 0.0
     for _ in range(5):
         tn = time_level(state)
         dt = dt_exex(mesh, tn.relaxed.tau, tn.fluxes, p, 1e-3)
-        ac = explicit_acoustic(tn, mesh, dt, state.donor)
+        ac = explicit_acoustic(tn, mesh, dt)
         two = transport(ac.relaxed, ac.u_star, mesh, dt)
         one = combined_update(state.conserved, ac, mesh, dt)
-        worst = max(worst, _rel(one.h[:n], two.h[:n]),
-                    _rel(one.hu[:n], two.hu[:n]))
+        worst = max(worst, _rel(one.h, two.h), _rel(one.hu, two.hu))
         state.conserved = one
         state.step += 1
     return worst
@@ -366,8 +359,7 @@ def strip_vs_1d(scheme="EXEX", n_steps=5, nx=40, dt=2e-4):
     for _ in range(n_steps):
         advance(state, dt, dt)
         s1 = step1d(s1, p, dt)
-        h2 = state.conserved.h[:nx]
-        hu2 = state.conserved.hu[:nx]
+        h2, hu2 = state.conserved.h, state.conserved.hu
         worst = max(worst,
                     _rel(h2, s1.h),
                     _rel(hu2[:, 0], s1.h * s1.u1),
@@ -384,12 +376,11 @@ def implicit_vs_dense(nx=3, ny=3, dt=5e-4):
     z = bump_topography(xc)
     ic = dam_break(xc, z)
     state = prepare_state(mesh, Topography(z), ic, BoundaryCondition(), p)
-    system = assemble_implicit(time_level(state), mesh, dt,
-                               implicit_pattern(mesh, state.donor))
+    system = assemble_implicit(time_level(state), state.mesh, dt,
+                               implicit_pattern(state.mesh))
     u_sp, pi_sp = solve_implicit(system, p.solver_tol, p.solver_maxiter)
     x = np.linalg.solve(system.A.toarray(), system.b)
-    n = mesh.n_cells
-    xr = x.reshape(n, 3)
+    xr = x.reshape(mesh.n_cells, 3)
     return max(_rel(u_sp, xr[:, 0:2]), _rel(pi_sp, xr[:, 2]))
 
 
@@ -418,7 +409,7 @@ def _rotate_cell_index(n):
 def _rotate_field(c: ConservedField, n):
     perm = _rotate_cell_index(n)
     h = c.h[perm]
-    hu = np.empty_like(c.hu[: n * n])
+    hu = np.empty_like(c.hu)
     hu[:, 0] = -c.hu[perm, 1]
     hu[:, 1] = c.hu[perm, 0]
     return ConservedField(h, hu)
@@ -431,15 +422,11 @@ def criterion_9_rotational_invariance():
     sc = get_scenario("vortex_flat")
     topo, ic = sc.build(mesh, p)
     bc = BoundaryCondition.periodic_all()
-    ic_full = ConservedField(ic.h[:mesh.n_cells], ic.hu[:mesh.n_cells])
-    sa = run_steps(mesh, topo, ic_full.copy(), bc, p, 50, dt_max=1.0)
-    sb = run_steps(mesh, topo, _rotate_field(ic_full, nn), bc, p, 50,
-                   dt_max=1.0)
-    n = mesh.n_cells
-    ref = _rotate_field(
-        ConservedField(sa.conserved.h[:n], sa.conserved.hu[:n]), nn)
-    dh = np.max(np.abs(sb.conserved.h[:n] - ref.h))
-    dm = np.max(np.abs(sb.conserved.hu[:n] - ref.hu))
+    sa = run_steps(mesh, topo, ic, bc, p, 50, dt_max=1.0)
+    sb = run_steps(mesh, topo, _rotate_field(ic, nn), bc, p, 50, dt_max=1.0)
+    ref = _rotate_field(sa.conserved, nn)
+    dh = np.max(np.abs(sb.conserved.h - ref.h))
+    dm = np.max(np.abs(sb.conserved.hu - ref.hu))
     err = max(dh / np.max(np.abs(ref.h)), dm / np.max(np.abs(ref.hu)))
     passed = err <= 1e-12
     return CriterionResult(
@@ -454,7 +441,7 @@ def criterion_10_convergence():
         mesh, _, _, report = run_case(case)
         xc, yc = mesh.centroid[:, 0], mesh.centroid[:, 1]
         he, _, _ = vortex_exact(xc, yc, report.t_final, case.params)
-        _, l1, _ = error_norms(report.final.h[:mesh.n_cells], he, mesh.area)
+        _, l1, _ = error_norms(report.final.h, he, mesh.area)
         errs.append(l1)
         hs.append(1.0 / n)
     slope = np.polyfit(np.log(hs), np.log(errs), 1)[0]

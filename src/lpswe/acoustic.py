@@ -3,12 +3,14 @@
 """Acoustic (Lagrangian) step: explicit update or implicit sparse solve.
 
 Both variants start from one time-n record (``TimeLevel``): the relaxed
-state with Pi at equilibrium, h and the face fluxes evaluated once by the
-driver.  The explicit variant updates with those fluxes.  The implicit
-variant solves a linear system in the per-cell unknowns (u1, u2, Pi); the
-hydrostatic source bracket and the theta correction stay frozen at time n,
-which keeps the system linear.  tau is back-substituted from the solved
-interface velocities in both cases.
+state with Pi at equilibrium and the face fluxes evaluated once by the
+driver.  Every cell array has one entry per mesh cell; a face reads its
+outer side through ``mesh.face_outer``.  The explicit variant updates
+with those fluxes.  The implicit variant solves a linear system in the
+per-cell unknowns (u1, u2, Pi); the hydrostatic source bracket and the
+theta correction stay frozen at time n, which keeps the system linear.
+tau is back-substituted from the solved interface velocities in both
+cases.
 
 Only the implicit variant needs ``scipy.sparse``; it is imported on first
 use, so an explicit run never loads it.
@@ -26,11 +28,10 @@ from .flux_kernels import FaceFlux, evaluate_face_fluxes
 
 @dataclass
 class TimeLevel:
-    """The time-n state a step starts from: ghost entries populated, Pi at
-    equilibrium, and the face fluxes of that state."""
+    """The time-n state a step starts from: Pi at equilibrium, and the face
+    fluxes of that state."""
 
     relaxed: RelaxedField
-    h: np.ndarray               # depth at time n, ghosts included
     fluxes: FaceFlux
     # The last accepted implicit solve's (x_sol - x^n) / dt, interleaved as
     # the unknowns of ``LinearSystem``: the solve starts from x^n + dt rate.
@@ -43,7 +44,7 @@ class AcousticResult:
     face fluxes: u_star and their pressure force.  The other face arrays
     are not kept, so a step frees them before its update."""
 
-    relaxed: RelaxedField       # ghost entries populated via the donor copy
+    relaxed: RelaxedField
     u_star: np.ndarray          # (n_faces,) sharp-level interface velocity
     force: np.ndarray           # (n_cells, 2) sum_k l pi_star n / |K|
     rate: Optional[np.ndarray] = None   # implicit only, see TimeLevel.rate
@@ -84,30 +85,22 @@ def _pressure_force(mesh, fluxes):
 
 def acoustic_cfl_fraction(mesh, tau, fluxes, dt):
     """dt * max_j(tau_j * max_k sigma_jk * a_jk); must be <= 1/2 for the
-    explicit scheme.  One max over both sides of every face (tau 0 on a
-    ghost side) gives the per-cell max bit for bit: rounding is monotone."""
-    n = mesh.n_cells
+    explicit scheme.  One max over the owner side of every face and the
+    neighbor side of every interior face gives the per-cell max bit for
+    bit: rounding is monotone."""
     w = mesh.face_length * fluxes.a
-    tau0 = np.zeros(mesh.n_total)
-    tau0[:n] = tau[:n]
-    area = np.append(mesh.area, np.ones(mesh.n_ghost))
-    return dt * max(np.max(tau0[cells] * w / area[cells])
-                    for cells in (mesh.face_owner, mesh.face_neighbor))
-
-
-def _extend_ghosts(arr, donor, n_cells):
-    """Fill ghost entries by copying from the donor interior cells."""
-    arr[n_cells:] = arr[donor]
-    return arr
+    o, nb = mesh.face_owner, mesh.face_neighbor
+    inner = nb < mesh.n_cells
+    nb, w_nb = nb[inner], w[inner]
+    return dt * max(np.max(tau[o] * w / mesh.area[o]),
+                    np.max(tau[nb] * w_nb / mesh.area[nb], initial=0.0))
 
 
 def _tau_update(mesh, tau, dt, fluxes):
-    n = mesh.n_cells
     # sum_k sigma_jk u_star_jk, the neighbor seeing -u_star
     divu = mesh.cell_sums(mesh.face_length * fluxes.u_star) / mesh.area
-    tau1 = tau.copy()
-    tau1[:n] = tau[:n] + tau[:n] * dt * divu
-    bad = np.nonzero(tau1[:n] <= 0.0)[0]
+    tau1 = tau + tau * dt * divu
+    bad = np.nonzero(tau1 <= 0.0)[0]
     if bad.size:
         j = int(bad[0])
         suggested = 0.45 * dt / max(dt * abs(divu[j]), 1e-300)
@@ -117,13 +110,9 @@ def _tau_update(mesh, tau, dt, fluxes):
     return tau1
 
 
-def explicit_acoustic(tn: TimeLevel, mesh, dt, donor, cfl_bound=None,
+def explicit_acoustic(tn: TimeLevel, mesh, dt, cfl_bound=None,
                       update_pi=True) -> AcousticResult:
     """One explicit acoustic step (sharp level = n) with the time-n fluxes.
-
-    The ghost entries of the result are refreshed from their ``donor``
-    cells, which the transport upwinding needs for exact flux antisymmetry
-    across periodic boundaries.
 
     ``cfl_bound`` is a known upper bound of the acoustic CFL fraction at
     this dt; the exact fraction is computed only when no bound is given or
@@ -131,7 +120,6 @@ def explicit_acoustic(tn: TimeLevel, mesh, dt, donor, cfl_bound=None,
     With ``update_pi`` False the Pi update is skipped and the result's
     ``relaxed.pi`` is None (the combined update does not read it).
     """
-    n = mesh.n_cells
     r, fluxes = tn.relaxed, tn.fluxes
 
     if cfl_bound is None or not cfl_bound <= ACOUSTIC_CFL_LIMIT:
@@ -143,27 +131,23 @@ def explicit_acoustic(tn: TimeLevel, mesh, dt, donor, cfl_bound=None,
     tau1 = _tau_update(mesh, r.tau, dt, fluxes)
 
     force = _pressure_force(mesh, fluxes)
-    u1 = r.u.copy()
-    u1[:n] -= (r.tau[:n] * dt)[:, None] * force
+    u1 = r.u - (r.tau * dt)[:, None] * force
 
     pi1 = None
     if update_pi:
         # Pi update with the face-local impedance squared.
         wa = mesh.face_length * fluxes.a * fluxes.a * fluxes.u_star
         acc_pi = mesh.cell_sums(wa) / mesh.area
-        pi1 = r.pi.copy()
-        pi1[:n] = r.pi[:n] - r.tau[:n] * dt * acc_pi
-        _extend_ghosts(pi1, donor, n)
+        pi1 = r.pi - r.tau * dt * acc_pi
 
-    _extend_ghosts(tau1, donor, n)
-    _extend_ghosts(u1, donor, n)
     return AcousticResult(RelaxedField(tau1, u1, pi1), fluxes.u_star, force)
 
 
 @dataclass
 class ImplicitPattern:
-    """CSR structure of the implicit matrix for one mesh and donor map,
-    and the constant map from per-face scalars to its values.
+    """CSR structure of the implicit matrix for one mesh bound to its
+    boundary conditions (``Mesh.face_outer``), and the constant map from
+    per-face scalars to its values.
 
     Row p of ``S`` belongs to the stored entry at data position p: it holds
     the geometric factor +-l w_c w_k / 2 of each face that contributes to
@@ -185,13 +169,14 @@ _SCALAR = np.array([0, 0, 1, 0, 0, 1, 2, 2, 3])
 _SIGN_M = np.where((_SCALAR == 0) | (_SCALAR == 3), -1.0, 1.0)
 
 
-def implicit_pattern(mesh, donor) -> ImplicitPattern:
+def implicit_pattern(mesh) -> ImplicitPattern:
     """Derive the sparsity of A = I + kron(T D, I3) F, and the map from the
-    face scalars to the values of D F, from the mesh and the ghost donors.
+    face scalars to the values of D F, from the mesh and its outer cells.
 
-    Face f couples the cells o (owner) and m (neighbor, or the donor of its
-    ghost) in the 3x3 blocks (o, o), (o, m), (nb, o) and (nb, nb), the last
-    two for an interior neighbor nb only.  Its entry in row unknown c and
+    Face f couples the cells o (owner) and m = ``mesh.face_outer[f]``
+    (its neighbor, or the cell its boundary closure copies) in the 3x3
+    blocks (o, o), (o, m), (nb, o) and (nb, nb), the last two for an
+    interior neighbor nb only.  Its entry in row unknown c and
     column unknown k (0: u1, 1: u2, 2: Pi) is +-l w_c w_k / 2 with
     w = (n_x, n_y, 1) times one face scalar, so it is zero by geometry when
     w_c w_k is.  An entry is stored when some face gives it a nonzero
@@ -200,11 +185,8 @@ def implicit_pattern(mesh, donor) -> ImplicitPattern:
     import scipy.sparse as sp
 
     n, nf = mesh.n_cells, mesh.n_faces
-    o, nb = mesh.face_owner, mesh.face_neighbor
+    o, nb, m = mesh.face_owner, mesh.face_neighbor, mesh.face_outer
     inner = np.nonzero(nb < n)[0]
-    m = nb.copy()
-    ghost = nb >= n
-    m[ghost] = donor[nb[ghost] - n]
     w = np.column_stack([mesh.face_normal, np.ones(nf)])
     geo = ((w[:, :, None] != 0.0) & (w[:, None, :] != 0.0)).reshape(nf, 9)
 
@@ -250,8 +232,8 @@ def implicit_pattern(mesh, donor) -> ImplicitPattern:
     indptr = np.searchsorted(keys, np.arange(N + 1) * N).astype(np.int32)
     indices = (keys % N).astype(np.int32)
     diag = pos[size:].copy()
-    # Where m == o (a zero-gradient ghost) slots 0 and 1 give one entry the
-    # same column twice; the CSR conversion sums them.
+    # Where m == o (a zero-gradient boundary face) slots 0 and 1 give one
+    # entry the same column twice; the CSR conversion sums them.
     S = sp.csr_matrix((vals, (pos[:size], cols)), shape=(len(indices), 4 * nf))
     return ImplicitPattern(indptr=indptr, indices=indices, diag=diag, S=S)
 
@@ -269,14 +251,13 @@ def assemble_implicit(tn: TimeLevel, mesh, dt,
         Pi_face = (Pi_o + Pi_m)/2 - (theta a / 2) n.(u_m - u_o) +- s/2
         u_star  = n.(u_o + u_m)/2 - (Pi_m - Pi_o)/(2a) - s/(2a)
 
-    Ghost unknowns are eliminated through the donors the ``pattern`` was
-    built with: the ghost behind boundary face i carries the unknowns of
-    interior cell donor[i] (zero-gradient closure, or the periodic
-    partner).  The source terms go to b; owner and neighbor both see
-    +s/2 n in the momentum rows.
+    The outer side of a boundary face carries the unknowns of its cell
+    ``mesh.face_outer`` (its owner for the zero-gradient closure, the
+    owner of the paired face for a periodic one).  The source terms go to
+    b; owner and neighbor both see +s/2 n in the momentum rows.
 
     The structure of A comes from ``pattern`` (``implicit_pattern`` of the
-    same mesh and donors); only its values are computed per call, as
+    same mesh); only its values are computed per call, as
     T * (S d) with the face scalars d = (theta a, 1, a^2, a), plus 1 on the
     diagonal.  b is built from the time-n x^n; the Krylov start is x^n, or
     x^n + dt ``tn.rate`` when the record carries the last step's rate.
@@ -291,7 +272,7 @@ def assemble_implicit(tn: TimeLevel, mesh, dt,
     # T D F: S sums each entry of D F over its faces, and the rows of cell j
     # carry T_j = dt tau_j / |K_j| times that sum (the entries of its three
     # rows are contiguous in data).
-    T = dt * r.tau[:n] / mesh.area
+    T = dt * r.tau / mesh.area
     data = pattern.S @ np.concatenate([theta * a, np.ones(mesh.n_faces),
                                        a * a, a])
     data *= np.repeat(T, np.diff(pattern.indptr[::3]))
@@ -299,7 +280,7 @@ def assemble_implicit(tn: TimeLevel, mesh, dt,
     A = sp.csr_matrix((data, pattern.indices, pattern.indptr),
                       shape=(3 * n, 3 * n))
 
-    xn = np.column_stack([r.u[:n], r.pi[:n]]).ravel()
+    xn = np.column_stack([r.u, r.pi]).ravel()
     hs = 0.5 * mesh.face_length * src
     nx, ny = mesh.face_normal.T
     wx, wy, wa = nx * hs, ny * hs, a * hs
@@ -382,29 +363,20 @@ def solve_implicit(system: LinearSystem, tol, max_iter=500):
         f"residual {res:.3e} > {tol:.1e} * ||b||", residual=res)
 
 
-def implicit_acoustic(tn: TimeLevel, mesh, p: Params, dt, donor,
+def implicit_acoustic(tn: TimeLevel, mesh, p: Params, dt,
                       pattern: ImplicitPattern) -> AcousticResult:
     """Implicit acoustic step: assemble, solve, back-substitute tau and
     evaluate the sharp-level face fluxes with the time-n a, theta and src
     frozen.  ``pattern`` is handed to ``assemble_implicit``."""
-    n = mesh.n_cells
     r = tn.relaxed
     system = assemble_implicit(tn, mesh, dt, pattern)
-    u_sol, pi_sol = solve_implicit(system, p.solver_tol, p.solver_maxiter)
+    u1, pi1 = solve_implicit(system, p.solver_tol, p.solver_maxiter)
 
-    rate = np.column_stack([u_sol - r.u[:n], pi_sol - r.pi[:n]]).ravel()
+    rate = np.column_stack([u1 - r.u, pi1 - r.pi]).ravel()
     rate /= dt
-
-    u1 = r.u.copy()
-    pi1 = r.pi.copy()
-    u1[:n] = u_sol
-    pi1[:n] = pi_sol
-    _extend_ghosts(u1, donor, n)
-    _extend_ghosts(pi1, donor, n)
 
     fluxes = evaluate_face_fluxes(mesh, u1, pi1, None, None, p,
                                   frozen=tn.fluxes)
     tau1 = _tau_update(mesh, r.tau, dt, fluxes)
-    _extend_ghosts(tau1, donor, n)
     return AcousticResult(RelaxedField(tau1, u1, pi1), fluxes.u_star,
                           _pressure_force(mesh, fluxes), rate)

@@ -49,19 +49,12 @@ def _write_outputs(out_dir, tag, sc, p, mesh, topo, report, cut_y=0.5):
     """Write {tag}_final.vtk, {tag}_cut.csv and {tag}_report.txt; returns
     the error norms added to the report when the scenario has an exact
     solution."""
-    n = mesh.n_cells
     write_vtk(report.final, topo, mesh, p,
               os.path.join(out_dir, f"{tag}_final.vtk"))
-    h = report.final.h[:n]
-    u = report.final.hu[:n] / h[:, None]
-    H = h + topo.z[:n]
-    x, hc = line_cut(h, mesh, cut_y)
-    _, uc = line_cut(u[:, 0], mesh, cut_y)
-    _, vc = line_cut(u[:, 1], mesh, cut_y)
-    _, Hc = line_cut(H, mesh, cut_y)
-    _, zc = line_cut(topo.z[:n], mesh, cut_y)
-    write_cut_csv(x, hc, uc, vc, Hc, zc,
-                  os.path.join(out_dir, f"{tag}_cut.csv"))
+    h = report.final.h
+    u = report.final.hu / h[:, None]
+    x, cut = line_cut(np.vstack([h, u.T, h + topo.z, topo.z]), mesh, cut_y)
+    write_cut_csv(x, *cut, os.path.join(out_dir, f"{tag}_cut.csv"))
 
     extra = {}
     if sc.exact is not None:

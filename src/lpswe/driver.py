@@ -1,12 +1,12 @@
 # driver.py
 
-"""Run orchestration: boundary conditions via ghost donors, time-step
-formulas, the per-step sequence (time-n record with Pi re-initialized,
-acoustic, combined update) and diagnostics."""
+"""Run orchestration: boundary conditions as the cell each face reads on
+its outer side, time-step formulas, the per-step sequence (time-n record
+with Pi re-initialized, acoustic, combined update) and diagnostics."""
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import List, Optional
 
 import numpy as np
@@ -24,9 +24,10 @@ from .transport import combined_update, transport_cfl_fraction
 class BoundaryCondition:
     """Boundary kinds per rectangle side.
 
-    neumann is a zero-gradient ghost copy, and absorbing is accepted as an
-    alias for it; periodic pairs each boundary face with the face across
-    the domain (both sides of the axis must be periodic).
+    neumann is zero-gradient (a boundary face reads its own owner), and
+    absorbing is accepted as an alias for it; periodic pairs each boundary
+    face with the face across the domain, whose owner it reads (both sides
+    of the axis must be periodic).
     """
 
     left: str = "neumann"
@@ -58,29 +59,28 @@ class BoundaryCondition:
         return cls(*["periodic"] * 4)
 
 
-def build_donor(mesh, bc: BoundaryCondition) -> np.ndarray:
-    """Interior donor cell for each ghost cell.
+def apply_bc(mesh, bc: BoundaryCondition):
+    """``mesh`` bound to the boundary conditions ``bc``: a copy whose
+    ``face_outer`` gives the cell each face reads on its outer side.
 
-    Zero-gradient ghosts copy the adjacent interior cell; periodic ghosts
-    copy the owner of the paired face on the opposite side.
+    An interior face reads its neighbor, a zero-gradient boundary face its
+    own owner, and a periodic boundary face the owner of the paired face
+    on the opposite side.
     """
     sides = mesh.boundary_sides()
-    donor = mesh.face_owner[mesh.boundary_faces].copy()
-    kinds = (bc.left, bc.right, bc.bottom, bc.top)
+    bf = mesh.boundary_faces
+    outer = mesh.face_neighbor.copy()
+    outer[bf] = mesh.face_owner[bf]
 
     def pair(side_a, side_b, coord):
-        ia = np.nonzero(sides == side_a)[0]
-        ib = np.nonzero(sides == side_b)[0]
-        if len(ia) != len(ib):
+        fa = bf[sides == side_a]
+        fb = bf[sides == side_b]
+        if len(fa) != len(fb):
             raise ConfigError(
-                f"periodic boundary has {len(ia)} faces on one side and "
-                f"{len(ib)} on the other")
-        fa = mesh.boundary_faces[ia]
-        fb = mesh.boundary_faces[ib]
-        ka = np.argsort(mesh.face_midpoint[fa, coord], kind="stable")
-        kb = np.argsort(mesh.face_midpoint[fb, coord], kind="stable")
-        fa, ia = fa[ka], ia[ka]
-        fb, ib = fb[kb], ib[kb]
+                f"periodic boundary has {len(fa)} faces on one side and "
+                f"{len(fb)} on the other")
+        fa = fa[np.argsort(mesh.face_midpoint[fa, coord], kind="stable")]
+        fb = fb[np.argsort(mesh.face_midpoint[fb, coord], kind="stable")]
         scale = max(mesh.bbox[1] - mesh.bbox[0], mesh.bbox[3] - mesh.bbox[2])
         if (np.any(np.abs(mesh.face_midpoint[fa, coord]
                           - mesh.face_midpoint[fb, coord]) > 1e-9 * scale)
@@ -90,49 +90,33 @@ def build_donor(mesh, bc: BoundaryCondition) -> np.ndarray:
                                  + mesh.face_normal[fb]) > 1e-12)):
             raise ConfigError("periodic faces do not pair up "
                               "(lengths/positions/normals mismatch)")
-        donor[ia] = mesh.face_owner[fb]
-        donor[ib] = mesh.face_owner[fa]
+        outer[fa] = mesh.face_owner[fb]
+        outer[fb] = mesh.face_owner[fa]
 
     if bc.left == "periodic":
         pair(meshmod.LEFT, meshmod.RIGHT, 1)
     if bc.bottom == "periodic":
         pair(meshmod.BOTTOM, meshmod.TOP, 0)
 
-    # Non-periodic ghosts keep the adjacent owner as donor; sanity-check
-    # that every ghost got one.
-    if np.any(donor < 0) or np.any(donor >= mesh.n_cells):
-        raise ConfigError("internal error: unpaired ghost cell")
-    return donor
-
-
-def apply_bc(c: ConservedField, mesh, donor) -> None:
-    """Populate the ghost entries from their donor interior cells."""
-    n = mesh.n_cells
-    c.h[n:] = c.h[donor]
-    c.hu[n:] = c.hu[donor]
-
-
-def ghost_topography(z_interior, mesh, donor) -> Topography:
-    """Extend interior bottom elevations to the ghost cells (donor copy,
-    so boundary faces see no topography jump for zero-gradient sides)."""
-    z = np.empty(mesh.n_total)
-    z[:mesh.n_cells] = z_interior
-    z[mesh.n_cells:] = z[donor]
-    return Topography(z=z)
+    # Sanity check: every face reads a cell.
+    if np.any(outer < 0) or np.any(outer >= mesh.n_cells):
+        raise ConfigError("internal error: a face has no outer cell")
+    return replace(mesh, face_outer=outer)
 
 
 def _speed_max(mesh, u_star, tau=None, a=None):
     """The time-step denominator max_j(perimeter_ratio_j max_k max(tau_j a,
     |u*|)) over the faces k of cell j (|u*| only when ``tau`` is None), as
-    one max over both sides of every face, ratio 0 on a ghost side: the
-    per-cell max bit for bit, since rounding is monotone."""
+    one max over both sides of every face, ratio 0 on the outer side of a
+    boundary face: the per-cell max bit for bit, since rounding is
+    monotone."""
     r_o, r_nb = mesh.side_ratio
     vt = np.abs(u_star)
     if tau is None:
         return np.max(np.maximum(r_o, r_nb) * vt)
     return max(np.max(np.maximum(tau[cells] * a, vt) * r)
                for cells, r in ((mesh.face_owner, r_o),
-                                (mesh.face_neighbor, r_nb)))
+                                (mesh.face_outer, r_nb)))
 
 
 def _cfl_dt(denom, p: Params, dt_max):
@@ -153,13 +137,13 @@ def dt_imex(mesh, u_star, p: Params, dt_max):
 
 @dataclass
 class RunState:
-    """Mutable state of an ongoing run."""
+    """Mutable state of an ongoing run; ``mesh`` is bound to the run's
+    boundary conditions (``apply_bc``)."""
 
     conserved: ConservedField
     topo: Topography
     mesh: object
     params: Params
-    donor: np.ndarray
     t: float = 0.0
     step: int = 0
     next_dt: Optional[float] = None   # lagged dt for IMEX
@@ -181,16 +165,14 @@ class RunReport:
 
 
 def time_level(state: RunState) -> TimeLevel:
-    """The time-n record a step starts from: ghosts filled from their
-    donors, Pi re-initialized at equilibrium, the face fluxes, and the
-    last accepted implicit solve's rate."""
-    mesh, p = state.mesh, state.params
-    apply_bc(state.conserved, mesh, state.donor)
-    relaxed = to_relaxed(state.conserved, p, n_interior=mesh.n_cells)
-    h = state.conserved.h
-    fluxes = evaluate_face_fluxes(mesh, relaxed.u, relaxed.pi, h,
-                                  state.topo.dz, p)
-    return TimeLevel(relaxed, h, fluxes, state.rate)
+    """The time-n record a step starts from: Pi re-initialized at
+    equilibrium, the face fluxes, and the last accepted implicit solve's
+    rate."""
+    p = state.params
+    relaxed = to_relaxed(state.conserved, p)
+    fluxes = evaluate_face_fluxes(state.mesh, relaxed.u, relaxed.pi,
+                                  state.conserved.h, state.topo.dz, p)
+    return TimeLevel(relaxed, fluxes, state.rate)
 
 
 def advance(state: RunState, t_remaining: float, dt_max: float) -> float:
@@ -208,15 +190,15 @@ def advance(state: RunState, t_remaining: float, dt_max: float) -> float:
         # (tests/test_cfl_bound.py), so neither is recomputed.  The
         # combined update does not read the acoustic step's Pi.
         cfl_bound = 0.5 * p.k_cfl
-        ac = explicit_acoustic(tn, mesh, dt, state.donor,
-                               cfl_bound=cfl_bound, update_pi=False)
+        ac = explicit_acoustic(tn, mesh, dt, cfl_bound=cfl_bound,
+                               update_pi=False)
     else:
         if state.next_dt is None:
             state.next_dt = dt_exex(mesh, tn.relaxed.tau, tn.fluxes, p,
                                     dt_max)
         dt = min(state.next_dt, t_remaining)
         if state.pattern is None:
-            state.pattern = implicit_pattern(mesh, state.donor)
+            state.pattern = implicit_pattern(mesh)
         # Lagged-dt policy: the previous step's transport speeds sized this
         # dt.  During fast transients the new speeds can overshoot it, so
         # the step is rejected and re-solved at a smaller dt until the
@@ -225,8 +207,7 @@ def advance(state: RunState, t_remaining: float, dt_max: float) -> float:
         for _ in range(20):
             tried, frac = dt, math.nan    # nan: positivity rejected it
             try:
-                ac = implicit_acoustic(tn, mesh, p, dt, state.donor,
-                                       pattern=state.pattern)
+                ac = implicit_acoustic(tn, mesh, p, dt, pattern=state.pattern)
             except PositivityError as exc:
                 n_pos += 1
                 dt = min(0.5 * dt, exc.suggested_dt or 0.5 * dt)
@@ -256,23 +237,14 @@ def advance(state: RunState, t_remaining: float, dt_max: float) -> float:
 
 def prepare_state(mesh, topo: Topography, initial: ConservedField,
                   bc: BoundaryCondition, p: Params) -> RunState:
-    """Attach ghost storage and donors to interior-sized inputs, and the
-    face bottom jump to a topography that does not carry it yet."""
-    donor = build_donor(mesh, bc)
-    n = mesh.n_cells
-    if len(topo.z) == n:
-        topo = ghost_topography(topo.z, mesh, donor)
+    """The state at t = 0: ``mesh`` bound to ``bc`` (``apply_bc``), and the
+    face bottom jump attached to a topography that does not carry it yet.
+    ``initial`` is held, not copied: no step writes into its arrays."""
+    mesh = apply_bc(mesh, bc)
     if topo.dz is None or len(topo.dz) != mesh.n_faces:
-        topo = Topography(topo.z, dz=topo.z[mesh.face_neighbor]
+        topo = Topography(topo.z, dz=topo.z[mesh.face_outer]
                           - topo.z[mesh.face_owner])
-    if len(initial.h) == n:
-        full = ConservedField(np.empty(mesh.n_total),
-                              np.empty((mesh.n_total, 2)))
-        full.h[:n] = initial.h
-        full.hu[:n] = initial.hu
-        initial = full
-    return RunState(conserved=initial, topo=topo, mesh=mesh, params=p,
-                    donor=donor)
+    return RunState(conserved=initial, topo=topo, mesh=mesh, params=p)
 
 
 def run_steps(mesh, topo: Topography, initial: ConservedField,
@@ -290,14 +262,12 @@ def run(mesh, topo: Topography, initial: ConservedField,
         callback=None, max_steps=10_000_000) -> RunReport:
     """Advance from t=0 to t_final and collect diagnostics.
 
-    ``topo`` and ``initial`` may be interior-sized; ghosts are added here.
     ``callback(state, dt)`` runs after every step when given.
     """
     state = prepare_state(mesh, topo, initial, bc, p)
-    n = mesh.n_cells
     dt_max = p.dt_max if p.dt_max is not None else max(t_final, 1e-300) / 10.0
 
-    dts, masses = [], [float(np.sum(mesh.area * state.conserved.h[:n]))]
+    dts, masses = [], [float(np.sum(mesh.area * state.conserved.h))]
     # Max over steps and cells of |hu|^2 / h^3 = g Fr^2, one sqrt at the end.
     max_fr2 = 0.0
     t0 = time.perf_counter()
@@ -311,8 +281,7 @@ def run(mesh, topo: Topography, initial: ConservedField,
             exc.args = (f"step {state.step}: {exc}",) + exc.args[1:]
             raise
         dts.append(dt)
-        h = state.conserved.h[:n]
-        hu = state.conserved.hu[:n]
+        h, hu = state.conserved.h, state.conserved.hu
         masses.append(float(np.sum(mesh.area * h)))
         max_fr2 = max(max_fr2, float(np.max(
             np.einsum("ij,ij->i", hu, hu) / (h * h * h))))

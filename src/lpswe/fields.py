@@ -2,9 +2,9 @@
 
 """Cell-centered states: conserved (h, hu), relaxed (tau, u, Pi), topography.
 
-Arrays are sized n_total = interior + ghost cells, so that flux kernels can
-gather both sides of every face without special cases.  Ghost entries are
-populated by the boundary-condition donor copy (see driver.apply_bc).
+Arrays hold one entry per mesh cell.  No boundary values are stored: a
+boundary face reads its outer side from a cell through ``Mesh.face_outer``
+(see driver.apply_bc).
 """
 
 import math
@@ -56,10 +56,10 @@ class Params:
 
 @dataclass
 class ConservedField:
-    """Water depth h and discharge hu per cell (interior + ghost)."""
+    """Water depth h and discharge hu per cell."""
 
-    h: np.ndarray    # (n_total,)
-    hu: np.ndarray   # (n_total, 2)
+    h: np.ndarray    # (n_cells,)
+    hu: np.ndarray   # (n_cells, 2)
 
     def copy(self) -> "ConservedField":
         return ConservedField(self.h.copy(), self.hu.copy())
@@ -69,17 +69,17 @@ class ConservedField:
 class RelaxedField:
     """Acoustic-step working state: tau = 1/h, velocity u, relaxed pressure Pi."""
 
-    tau: np.ndarray  # (n_total,)
-    u: np.ndarray    # (n_total, 2)
-    pi: np.ndarray   # (n_total,)
+    tau: np.ndarray  # (n_cells,)
+    u: np.ndarray    # (n_cells, 2)
+    pi: np.ndarray   # (n_cells,)
 
 
 @dataclass
 class Topography:
-    """Fixed bottom elevation per cell, ghost entries included."""
+    """Fixed bottom elevation per cell."""
 
-    z: np.ndarray           # (n_total,)
-    dz: np.ndarray = None   # (n_faces,) z[neighbor] - z[owner], per run
+    z: np.ndarray           # (n_cells,)
+    dz: np.ndarray = None   # (n_faces,) z[outer] - z[owner], per run
 
 
 def sound_speed(h, g):
@@ -90,19 +90,18 @@ def sound_speed(h, g):
     return np.sqrt(g * h)
 
 
-def _check_positive(x, n_interior, what):
-    bad = np.nonzero(x[:n_interior] <= 0.0)[0]
+def _check_positive(x, what):
+    bad = np.nonzero(x <= 0.0)[0]
     if bad.size:
         j = int(bad[0])
         raise PositivityError(
             f"{what} non-positive in cell {j} ({what} = {x[j]:.3e})", cell=j)
 
 
-def to_relaxed(c: ConservedField, p: Params, n_interior=None) -> RelaxedField:
+def to_relaxed(c: ConservedField, p: Params) -> RelaxedField:
     """Re-initialize the relaxed state from (h, hu): tau = 1/h, u = hu/h,
     Pi = g*h^2/2 (the equilibrium pressure)."""
-    n = len(c.h) if n_interior is None else n_interior
-    _check_positive(c.h, n, "h")
+    _check_positive(c.h, "h")
     tau = 1.0 / c.h
     u = c.hu * tau[:, None]
     pi = p.g * c.h * c.h / 2.0

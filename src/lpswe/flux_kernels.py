@@ -87,15 +87,16 @@ def evaluate_face_fluxes(mesh, u, pi, h_n, dz, p: Params,
                          frozen: FaceFlux = None) -> FaceFlux:
     """The kernels above over every face, bit for bit, computed in place.
 
-    ``u``/``pi`` are the states at the flux level; ``h_n`` and ``dz`` (the
-    face bottom jump z[neighbor] - z[owner]) give the time-n impedance and
+    ``u``/``pi`` are the states at the flux level, read on the outer side
+    of a face through ``mesh.face_outer``; ``h_n`` and ``dz`` (the face
+    bottom jump z[outer] - z[owner]) give the time-n impedance and
     source bracket, and theta comes from the interface velocity of (u, pi),
     which is right only for time-n states.  The implicit path passes the
     time-n fluxes as ``frozen`` to reuse their a, theta and src instead.
     As h sqrt(g h) and sqrt(g h) grow with h, a and theta take the sound
     speed c = sqrt(g max(h_L, h_R)) of the deeper side only.
     """
-    o, nb = mesh.face_owner, mesh.face_neighbor
+    o, nb = mesh.face_owner, mesh.face_outer
     nx, ny = mesh.face_normal[:, 0], mesh.face_normal[:, 1]
     if frozen is None:
         if np.any(h_n <= 0.0):

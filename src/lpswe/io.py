@@ -64,6 +64,8 @@ class RunConfig:
                              f"known: {sorted(REGISTRY)}")
         if not 0.0 <= self.t_final < math.inf:
             raise ValueError("t_final must be finite and >= 0")
+        if self.output_every < 0:
+            raise ValueError("output_every must be >= 0")
         if not math.isfinite(self.cut_y):
             raise ValueError("cut_y must be finite")
 
@@ -140,10 +142,8 @@ def write_vtk(conserved, topo, mesh, p: Params, path) -> None:
     """Legacy ASCII VTK unstructured grid with per-cell scalars
     h, z, H = h+z, Froude, and the velocity vector."""
     n = mesh.n_cells
-    h = conserved.h[:n]
-    hu = conserved.hu[:n]
-    u = hu / h[:, None]
-    z = topo.z[:n]
+    h, z = conserved.h, topo.z
+    u = conserved.hu / h[:, None]
     froude = np.hypot(u[:, 0], u[:, 1]) / np.sqrt(p.g * h)
 
     with open(path, "w", encoding="ascii") as fh:

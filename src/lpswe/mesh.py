@@ -1,11 +1,12 @@
 # mesh.py
 
-"""Unstructured polygonal meshes: cells, faces, normals, ghost indexing.
+"""Unstructured polygonal meshes: cells, faces, normals, boundary faces.
 
 Faces are stored once.  The stored normal points from the owner cell to the
-neighbor; the neighbor sees the same face with the opposite normal.  Every
-boundary face gets one ghost cell, indexed after the interior cells, so that
-flux kernels never special-case the boundary.
+neighbor; the neighbor sees the same face with the opposite normal.  Each
+face reads the state of its outer side from one cell, ``face_outer``, which
+a run sets from its boundary conditions, so that flux kernels never
+special-case the boundary.
 """
 
 from dataclasses import dataclass, field
@@ -21,10 +22,13 @@ LEFT, RIGHT, BOTTOM, TOP = 0, 1, 2, 3
 
 @dataclass
 class Mesh:
-    """Polygonal mesh with ghost cells behind every boundary face.
+    """Polygonal mesh with one ghost id behind every boundary face.
 
-    Cell indices 0..n_cells-1 are interior; n_cells..n_cells+n_ghost-1 are
-    ghost cells, one per boundary face in the order of ``boundary_faces``.
+    Cell indices 0..n_cells-1 are the cells.  The neighbor of boundary face
+    ``boundary_faces[i]`` is the ghost id n_cells + i: no state is stored
+    for it, and the per-cell sums drop its bin.  ``face_outer`` gives the
+    cell whose state a face reads on its outer side; it is None until
+    ``driver.apply_bc`` binds the mesh to boundary conditions.
     """
 
     vertices: np.ndarray            # (nv, 2)
@@ -41,6 +45,9 @@ class Mesh:
     boundary_faces: np.ndarray      # (n_ghost,) face ids, ghost i sits behind
                                     # boundary_faces[i]
     bbox: np.ndarray = field(default=None)  # (xmin, xmax, ymin, ymax)
+    # (nf,) the cell each face reads on its neighbor side: the neighbor, or
+    # the cell the boundary closure copies; set by driver.apply_bc
+    face_outer: np.ndarray = field(default=None)
 
     @property
     def n_cells(self) -> int:

@@ -31,9 +31,9 @@ def transport_cfl_fraction(mesh, u_star, dt):
 
 def _upwind(mesh, u_star, phi):
     """Face value of phi upwinded w.r.t. the owner-frame u_star
-    (owner value when u_star >= 0)."""
+    (owner value when u_star >= 0, outer value otherwise)."""
     return np.where(u_star >= 0.0,
-                    phi[mesh.face_owner], phi[mesh.face_neighbor])
+                    phi[mesh.face_owner], phi[mesh.face_outer])
 
 
 def _check_cfl(mesh, u_star, dt, cfl_bound=None):
@@ -48,8 +48,8 @@ def _check_cfl(mesh, u_star, dt, cfl_bound=None):
             f"transport CFL violated: dt*max inflow sum = {frac:.3e} > 1")
 
 
-def _check_h_positive(h, n):
-    bad = np.nonzero(h[:n] <= 0.0)[0]
+def _check_h_positive(h):
+    bad = np.nonzero(h <= 0.0)[0]
     if bad.size:
         j = int(bad[0])
         raise PositivityError(
@@ -61,7 +61,6 @@ def transport(relaxed_1: RelaxedField, u_star, mesh, dt) -> ConservedField:
     phi^{n+1} = L_j phi_j^{n+1-} - dt sum sigma_jk u_jk phi_face, with
     L_j = 1 + dt sum sigma_jk u_jk."""
     _check_cfl(mesh, u_star, dt)
-    n = mesh.n_cells
     h1 = 1.0 / relaxed_1.tau
     hu1 = relaxed_1.u * h1[:, None]
 
@@ -70,20 +69,12 @@ def transport(relaxed_1: RelaxedField, u_star, mesh, dt) -> ConservedField:
     if np.any(L < 0.0):
         raise CFLError("transport convexity factor L_j became negative")
 
-    out_h = h1.copy()
-    out_hu = hu1.copy()
-    for phi, out, col in ((h1, out_h, None),
-                          (hu1[:, 0], out_hu, 0),
-                          (hu1[:, 1], out_hu, 1)):
-        pf = _upwind(mesh, u_star, phi)
-        flux_sum = mesh.cell_sums(lu * pf) / mesh.area
-        new = L * phi[:n] - dt * flux_sum
-        if col is None:
-            out[:n] = new
-        else:
-            out[:n, col] = new
-    _check_h_positive(out_h, n)
-    return ConservedField(out_h, out_hu)
+    out_h, out_hu1, out_hu2 = (
+        L * phi - dt * (mesh.cell_sums(lu * _upwind(mesh, u_star, phi))
+                        / mesh.area)
+        for phi in (h1, hu1[:, 0], hu1[:, 1]))
+    _check_h_positive(out_h)
+    return ConservedField(out_h, np.column_stack([out_hu1, out_hu2]))
 
 
 def combined_update(c_n: ConservedField, acoustic: AcousticResult, mesh,
@@ -99,23 +90,21 @@ def combined_update(c_n: ConservedField, acoustic: AcousticResult, mesh,
     """
     u_star = acoustic.u_star
     _check_cfl(mesh, u_star, dt, cfl_bound)
-    n = mesh.n_cells
     r1 = acoustic.relaxed
     h1 = 1.0 / r1.tau
 
     # h and hu = u h of the upwind cell of each face (w.r.t. the
     # owner-frame u_star), gathered once.
     lu = mesh.face_length * u_star
-    up = np.where(u_star >= 0.0, mesh.face_owner, mesh.face_neighbor)
+    up = np.where(u_star >= 0.0, mesh.face_owner, mesh.face_outer)
     h_up = h1[up]
-    out_h = c_n.h.copy()
+    out_h = c_n.h - dt * (mesh.cell_sums(lu * h_up) / mesh.area)
     out_hu = c_n.hu.copy()
-    out_h[:n] -= dt * (mesh.cell_sums(lu * h_up) / mesh.area)
     for d in (0, 1):
         f = r1.u[:, d][up]
         f *= h_up
         f *= lu
         dm = mesh.cell_sums(f) / mesh.area
-        out_hu[:n, d] -= dt * (dm + acoustic.force[:, d])
-    _check_h_positive(out_h, n)
+        out_hu[:, d] -= dt * (dm + acoustic.force[:, d])
+    _check_h_positive(out_h)
     return ConservedField(out_h, out_hu)

@@ -14,7 +14,7 @@ from lpswe.acoustic import (LinearSystem, TimeLevel, acoustic_cfl_fraction,
                             assemble_implicit, explicit_acoustic,
                             implicit_acoustic, implicit_pattern,
                             solve_implicit)
-from lpswe.driver import (BoundaryCondition, build_donor, prepare_state,
+from lpswe.driver import (BoundaryCondition, apply_bc, prepare_state,
                           time_level)
 from lpswe.exceptions import CFLError, PositivityError, SolverError
 from lpswe.fields import ConservedField, Params, RelaxedField, Topography
@@ -29,7 +29,7 @@ def _setup(nx=6, ny=6, scheme="EXEX", bc=None):
     ic = dam_break(mesh.centroid[:, 0], z)
     state = prepare_state(mesh, Topography(z), ic,
                           bc or BoundaryCondition(), p)
-    return p, mesh, state, time_level(state)
+    return p, state.mesh, state, time_level(state)
 
 
 def test_explicit_lake_at_rest_fixed_point():
@@ -40,17 +40,16 @@ def test_explicit_lake_at_rest_fixed_point():
     ic = ConservedField(h, np.zeros((len(h), 2)))
     state = prepare_state(mesh, Topography(z), ic, BoundaryCondition(), p)
     tn = time_level(state)
-    ac = explicit_acoustic(tn, mesh, 1e-4, state.donor)
-    n = mesh.n_cells
-    assert np.max(np.abs(ac.relaxed.u[:n])) < 1e-14
-    assert np.max(np.abs(ac.relaxed.tau[:n] - tn.relaxed.tau[:n])) == 0.0
+    ac = explicit_acoustic(tn, state.mesh, 1e-4)
+    assert np.max(np.abs(ac.relaxed.u)) < 1e-14
+    assert np.max(np.abs(ac.relaxed.tau - tn.relaxed.tau)) == 0.0
 
 
 def test_explicit_cfl_strict_raises():
     p, mesh, state, tn = _setup()
     assert acoustic_cfl_fraction(mesh, tn.relaxed.tau, tn.fluxes, 1.0) > 0.5
     with pytest.raises(CFLError):
-        explicit_acoustic(tn, mesh, 1.0, state.donor)
+        explicit_acoustic(tn, mesh, 1.0)
 
 
 def test_tau_positivity_error_has_suggestion():
@@ -63,11 +62,12 @@ def test_tau_positivity_error_has_suggestion():
     ic = ConservedField(h, h[:, None] * u)
     state = prepare_state(mesh, Topography(np.zeros(4)), ic,
                           BoundaryCondition(), p)
+    mesh = state.mesh
     tn = time_level(state)
     # within the acoustic CFL limit, so tau is what fails
     dt = 0.45 / acoustic_cfl_fraction(mesh, tn.relaxed.tau, tn.fluxes, 1.0)
     with pytest.raises(PositivityError) as exc:
-        explicit_acoustic(tn, mesh, dt, state.donor)
+        explicit_acoustic(tn, mesh, dt)
     assert exc.value.suggested_dt is not None
     assert exc.value.suggested_dt > 0.0
 
@@ -75,13 +75,12 @@ def test_tau_positivity_error_has_suggestion():
 def test_implicit_matches_explicit_small_dt():
     # for dt -> 0 both updates agree to O(dt^2)
     p, mesh, state, tn = _setup(scheme="IMEX")
-    pattern = implicit_pattern(mesh, state.donor)
-    n = mesh.n_cells
+    pattern = implicit_pattern(mesh)
     for dt in (1e-5, 5e-6):
-        ex = explicit_acoustic(tn, mesh, dt, state.donor)
-        im = implicit_acoustic(tn, mesh, p, dt, state.donor, pattern)
-        du = np.max(np.abs(ex.relaxed.u[:n] - im.relaxed.u[:n]))
-        dpi = np.max(np.abs(ex.relaxed.pi[:n] - im.relaxed.pi[:n]))
+        ex = explicit_acoustic(tn, mesh, dt)
+        im = implicit_acoustic(tn, mesh, p, dt, pattern)
+        du = np.max(np.abs(ex.relaxed.u - im.relaxed.u))
+        dpi = np.max(np.abs(ex.relaxed.pi - im.relaxed.pi))
         # difference scales like dt^2 times the flux divergence
         assert du < 2e3 * dt * dt
         assert dpi < 2e6 * dt * dt
@@ -96,13 +95,12 @@ def test_implicit_lake_at_rest_fixed_point():
     ic = ConservedField(h, np.zeros((len(h), 2)))
     state = prepare_state(mesh, Topography(z), ic, BoundaryCondition(), p)
     tn = time_level(state)
-    system = assemble_implicit(tn, mesh, 0.05,
-                               implicit_pattern(mesh, state.donor))
-    n = mesh.n_cells
-    x = np.empty(3 * n)
+    system = assemble_implicit(tn, state.mesh, 0.05,
+                               implicit_pattern(state.mesh))
+    x = np.empty(3 * mesh.n_cells)
     x[0::3] = 0.0
     x[1::3] = 0.0
-    x[2::3] = tn.relaxed.pi[:n]
+    x[2::3] = tn.relaxed.pi
     # the rest state is a fixed point of the linear system
     assert np.max(np.abs(system.A @ x - system.b)) < 1e-12
 
@@ -118,25 +116,23 @@ def _check_implicit_operator_against_explicit(mesh, bc):
     rng = np.random.default_rng(7)
     ic.hu[:] = ic.h[:, None] * rng.normal(scale=0.5, size=ic.hu.shape)
     state = prepare_state(mesh, Topography(z), ic, bc, p)
+    mesh = state.mesh
     tn = time_level(state)
-    r, h_n = tn.relaxed, tn.h
+    r = tn.relaxed
     assert np.mean(tn.fluxes.theta > 0.0) > 0.9
 
     n = mesh.n_cells
-    u = rng.normal(size=(mesh.n_total, 2))
-    pi = r.pi * (1.0 + 0.1 * rng.normal(size=mesh.n_total))
-    u[n:] = u[state.donor]
-    pi[n:] = pi[state.donor]
+    u = rng.normal(size=(n, 2))
+    pi = r.pi * (1.0 + 0.1 * rng.normal(size=n))
     fluxes_x = evaluate_face_fluxes(mesh, u, pi, None, None, p,
                                     frozen=tn.fluxes)
     dt = 0.4 / acoustic_cfl_fraction(mesh, r.tau, fluxes_x, 1.0)
-    system = assemble_implicit(tn, mesh, dt,
-                               implicit_pattern(mesh, state.donor))
-    ex = explicit_acoustic(TimeLevel(RelaxedField(r.tau, u, pi), h_n,
-                                     fluxes_x), mesh, dt, state.donor)
+    system = assemble_implicit(tn, mesh, dt, implicit_pattern(mesh))
+    ex = explicit_acoustic(TimeLevel(RelaxedField(r.tau, u, pi), fluxes_x),
+                           mesh, dt)
 
-    x = np.column_stack([u[:n], pi[:n]]).ravel()
-    e = np.column_stack([ex.relaxed.u[:n], ex.relaxed.pi[:n]]).ravel()
+    x = np.column_stack([u, pi]).ravel()
+    e = np.column_stack([ex.relaxed.u, ex.relaxed.pi]).ravel()
     lhs = system.A @ x - system.b
     rhs = 2.0 * x - system.x0 - e
     assert np.max(np.abs(lhs - rhs)) <= 1e-13 * np.max(np.abs(x))
@@ -151,9 +147,9 @@ def test_implicit_operator_matches_explicit_kernels():
 @pytest.mark.parametrize("build, nx, ny, bc", [
     # two faces of one cell couple to the same neighbor block
     (meshmod.build_cartesian, 6, 2, BoundaryCondition.periodic_all()),
-    # the neumann ghosts above and below map back onto their owner
+    # the neumann faces above and below read their own owner
     (meshmod.build_cartesian, 5, 1, BoundaryCondition.periodic_x()),
-    # neumann ghosts on every side
+    # neumann faces on every side
     (meshmod.build_triangulated, 5, 4, BoundaryCondition()),
     # triangles, quads and a pentagon (the mixed_mesh fixture)
     ("mixed", 0, 0, BoundaryCondition()),
@@ -168,8 +164,7 @@ def test_implicit_operator_matches_explicit_kernels_ghost_layouts(
 
 def test_solver_residual_contract():
     p, mesh, state, tn = _setup(scheme="IMEX")
-    system = assemble_implicit(tn, mesh, 0.01,
-                               implicit_pattern(mesh, state.donor))
+    system = assemble_implicit(tn, mesh, 0.01, implicit_pattern(mesh))
     u, pi = solve_implicit(system, tol=1e-10)
     res = np.linalg.norm(system.A @ np.ravel(
         np.column_stack([u, pi])) - system.b)
@@ -180,12 +175,11 @@ def test_assembly_leaves_pattern_unchanged():
     # A is built on the pattern's own index arrays, and a run reuses the
     # pattern over its attempts: assembly must leave them as they were
     p, mesh, state, tn = _setup(scheme="IMEX")
-    pattern = implicit_pattern(mesh, state.donor)
+    pattern = implicit_pattern(mesh)
     indptr, indices = pattern.indptr.copy(), pattern.indices.copy()
     assemble_implicit(tn, mesh, 0.01, pattern)
     A = assemble_implicit(tn, mesh, 0.02, pattern).A
-    fresh = assemble_implicit(tn, mesh, 0.02,
-                              implicit_pattern(mesh, state.donor)).A
+    fresh = assemble_implicit(tn, mesh, 0.02, implicit_pattern(mesh)).A
     assert np.array_equal(A.indptr, fresh.indptr)
     assert np.array_equal(A.indices, fresh.indices)
     assert np.array_equal(A.data, fresh.data)
@@ -193,7 +187,7 @@ def test_assembly_leaves_pattern_unchanged():
     assert np.array_equal(pattern.indices, indices)
 
 
-def _dense_face_operator(mesh, donor, d, magnitude=False):
+def _dense_face_operator(mesh, d, magnitude=False):
     """D F as a dense matrix, face by face from the flux formulas of
     ``assemble_implicit``, with per-face scalars d = (theta a, 1, a^2, a)
     given as four independent arrays.  With ``magnitude`` the faces'
@@ -202,7 +196,7 @@ def _dense_face_operator(mesh, donor, d, magnitude=False):
     DF = np.zeros((3 * n, 3 * n))
     for f in range(mesh.n_faces):
         o, nb = mesh.face_owner[f], mesh.face_neighbor[f]
-        m = nb if nb < n else donor[nb - n]
+        m = mesh.face_outer[f]
         nx, ny = mesh.face_normal[f]
         ta, one, a2, a = (q[f] for q in d)
         hl = 0.5 * mesh.face_length[f]
@@ -225,7 +219,7 @@ def _dense_face_operator(mesh, donor, d, magnitude=False):
 @pytest.mark.parametrize("build, nx, ny, bc", [
     ("mixed", 0, 0, BoundaryCondition()),
     ("mixed", 0, 0, BoundaryCondition.periodic_all()),
-    # the neumann ghosts above and below map back onto their owner
+    # the neumann faces above and below read their own owner
     (meshmod.build_cartesian, 5, 1, BoundaryCondition.periodic_x()),
     (meshmod.build_triangulated, 5, 4, BoundaryCondition()),
 ], ids=["mixed-neumann", "mixed-periodic", "quad5x1-periodic_x",
@@ -233,9 +227,8 @@ def _dense_face_operator(mesh, donor, d, magnitude=False):
 def test_pattern_stores_exactly_the_nonzeros(build, nx, ny, bc, mixed_mesh):
     # a stored structural zero fails no value test but slows every product
     # with A, so the stored entries are checked against the geometry
-    mesh = mixed_mesh if build == "mixed" else build(nx, ny)
-    donor = build_donor(mesh, bc)
-    pattern = implicit_pattern(mesh, donor)
+    mesh = apply_bc(mixed_mesh if build == "mixed" else build(nx, ny), bc)
+    pattern = implicit_pattern(mesh)
     N = 3 * mesh.n_cells
     rows = np.repeat(np.arange(N), np.diff(pattern.indptr))
     stored = np.zeros((N, N), bool)
@@ -248,11 +241,11 @@ def test_pattern_stores_exactly_the_nonzeros(build, nx, ny, bc, mixed_mesh):
     # the |geometric factors| are nonzero exactly where some face
     # contributes
     ones = [np.ones(mesh.n_faces)] * 4
-    geometric = _dense_face_operator(mesh, donor, ones, magnitude=True) != 0
+    geometric = _dense_face_operator(mesh, ones, magnitude=True) != 0
     assert np.array_equal(stored, geometric | np.eye(N, dtype=bool))
 
     d = list(np.random.default_rng(3).uniform(0.5, 2.0, (4, mesh.n_faces)))
-    DF = _dense_face_operator(mesh, donor, d)
+    DF = _dense_face_operator(mesh, d)
     assert not np.any(DF[~stored])
     np.testing.assert_allclose(pattern.S @ np.concatenate(d),
                                DF[rows, pattern.indices],
@@ -261,16 +254,14 @@ def test_pattern_stores_exactly_the_nonzeros(build, nx, ny, bc, mixed_mesh):
 
 def test_solver_rejects_bad_tol():
     p, mesh, state, tn = _setup(scheme="IMEX")
-    system = assemble_implicit(tn, mesh, 0.01,
-                               implicit_pattern(mesh, state.donor))
+    system = assemble_implicit(tn, mesh, 0.01, implicit_pattern(mesh))
     with pytest.raises(ValueError):
         solve_implicit(system, tol=0.0)
 
 
 def test_solver_error_carries_residual():
     p, mesh, state, tn = _setup(scheme="IMEX")
-    system = assemble_implicit(tn, mesh, 0.01,
-                               implicit_pattern(mesh, state.donor))
+    system = assemble_implicit(tn, mesh, 0.01, implicit_pattern(mesh))
     with pytest.raises(SolverError) as exc:
         solve_implicit(system, tol=1e-300)
     assert exc.value.residual > 1e-300 * np.linalg.norm(system.b)
@@ -280,27 +271,17 @@ def test_solver_error_carries_residual():
 def test_implicit_large_dt_stable():
     # dt far beyond the acoustic CFL must still produce finite positive tau
     p, mesh, state, tn = _setup(scheme="IMEX")
-    ac = implicit_acoustic(tn, mesh, p, 0.05, state.donor,
-                           implicit_pattern(mesh, state.donor))
-    n = mesh.n_cells
-    assert np.all(ac.relaxed.tau[:n] > 0.0)
-    assert np.all(np.isfinite(ac.relaxed.u[:n]))
-
-
-def test_ghosts_refreshed_after_explicit_step():
-    p, mesh, state, tn = _setup()
-    ac = explicit_acoustic(tn, mesh, 1e-4, state.donor)
-    n = mesh.n_cells
-    assert np.array_equal(ac.relaxed.tau[n:], ac.relaxed.tau[state.donor])
-    assert np.array_equal(ac.relaxed.pi[n:], ac.relaxed.pi[state.donor])
+    ac = implicit_acoustic(tn, mesh, p, 0.05, implicit_pattern(mesh))
+    assert np.all(ac.relaxed.tau > 0.0)
+    assert np.all(np.isfinite(ac.relaxed.u))
 
 
 def test_explicit_step_without_pi_update():
     # the driver's EXEX path skips the Pi update, which the combined update
     # does not read; tau and u must be those of the full step
     p, mesh, state, tn = _setup(bc=BoundaryCondition.periodic_all())
-    full = explicit_acoustic(tn, mesh, 1e-4, state.donor)
-    lean = explicit_acoustic(tn, mesh, 1e-4, state.donor, update_pi=False)
+    full = explicit_acoustic(tn, mesh, 1e-4)
+    lean = explicit_acoustic(tn, mesh, 1e-4, update_pi=False)
     assert lean.relaxed.pi is None
     assert np.array_equal(lean.relaxed.tau, full.relaxed.tau)
     assert np.array_equal(lean.relaxed.u, full.relaxed.u)
@@ -341,7 +322,7 @@ def test_bicgstab_breakdown_raises_finite_solver_error():
 
 def test_bicgstab_reports_iterations_and_residual():
     p, mesh, state, tn = _setup(scheme="IMEX")
-    pattern = implicit_pattern(mesh, state.donor)
+    pattern = implicit_pattern(mesh)
     runs = []
     for _ in range(2):
         system = assemble_implicit(tn, mesh, 0.01, pattern)

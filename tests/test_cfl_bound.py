@@ -42,7 +42,7 @@ def meshes(mixed_mesh):
 
 
 def _state(mesh, bc, h, hu, p=None):
-    """Time-n record over the bump, ghosts filled."""
+    """Time-n record over the bump; ``state.mesh`` is bound to ``bc``."""
     p = p or Params()
     z = 0.1 * bump_topography(mesh.centroid[:, 0])
     state = prepare_state(mesh, Topography(z), ConservedField(h, hu), bc, p)
@@ -63,9 +63,9 @@ KINDS = ("cartesian", "triangulated", "mixed")
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_dt_bound_covers_both_cfl_fractions(meshes, kind, bc, data):
-    mesh = meshes[kind]
-    p, state, tn = _state(mesh, BCS[bc], *_fields(data, mesh.n_cells))
-    r, fluxes = tn.relaxed, tn.fluxes
+    p, state, tn = _state(meshes[kind], BCS[bc],
+                          *_fields(data, meshes[kind].n_cells))
+    mesh, r, fluxes = state.mesh, tn.relaxed, tn.fluxes
     D = _speed_max(mesh, fluxes.u_star, r.tau, fluxes.a)
     dt = dt_exex(mesh, r.tau, fluxes, p, np.inf)
     assert dt * D <= 0.5 * p.k_cfl * (1.0 + 1e-15)
@@ -81,17 +81,16 @@ def test_dt_bound_covers_both_cfl_fractions(meshes, kind, bc, data):
 @settings(max_examples=20, deadline=None)
 @given(data=st.data())
 def test_bound_over_limit_still_raises(meshes, kind, data):
-    mesh = meshes[kind]
-    p, state, tn = _state(mesh, BCS["periodic"],
-                          *_fields(data, mesh.n_cells))
-    r, fluxes = tn.relaxed, tn.fluxes
+    p, state, tn = _state(meshes[kind], BCS["periodic"],
+                          *_fields(data, meshes[kind].n_cells))
+    mesh, r, fluxes = state.mesh, tn.relaxed, tn.fluxes
     D = _speed_max(mesh, fluxes.u_star, r.tau, fluxes.a)
     dt = dt_exex(mesh, r.tau, fluxes, p, np.inf)
 
     # A bound over the limit sends the step to the exact fraction: within
     # it, the result is that of the step without any bound.
-    ref = explicit_acoustic(tn, mesh, dt, state.donor)
-    ac = explicit_acoustic(tn, mesh, dt, state.donor, cfl_bound=np.inf)
+    ref = explicit_acoustic(tn, mesh, dt)
+    ac = explicit_acoustic(tn, mesh, dt, cfl_bound=np.inf)
     assert np.array_equal(ac.relaxed.u, ref.relaxed.u)
     out = combined_update(state.conserved, ac, mesh, dt, cfl_bound=np.inf)
     assert np.array_equal(
@@ -101,8 +100,7 @@ def test_bound_over_limit_still_raises(meshes, kind, data):
     dt_big = dt / acoustic_cfl_fraction(mesh, r.tau, fluxes, dt)
     assert dt_big * D > ACOUSTIC_CFL_LIMIT
     with pytest.raises(CFLError, match="acoustic CFL"):
-        explicit_acoustic(tn, mesh, dt_big, state.donor,
-                          cfl_bound=dt_big * D)
+        explicit_acoustic(tn, mesh, dt_big, cfl_bound=dt_big * D)
     frac = transport_cfl_fraction(mesh, fluxes.u_star, dt)
     if frac > 0.0:
         dt_big = 2.0 * dt / frac
@@ -129,10 +127,10 @@ def _cell_max(mesh, w_owner, w_neighbor):
 def test_face_side_maxima_equal_per_cell_form(meshes, kind, bc, data):
     # the time-step denominators and the acoustic CFL fraction take one max
     # over both sides of every face; the per-cell form gives the same bits
-    mesh = meshes[kind]
-    p, state, tn = _state(mesh, BCS[bc], *_fields(data, mesh.n_cells))
-    r, fluxes = tn.relaxed, tn.fluxes
-    o, nb, n = mesh.face_owner, mesh.face_neighbor, mesh.n_cells
+    p, state, tn = _state(meshes[kind], BCS[bc],
+                          *_fields(data, meshes[kind].n_cells))
+    mesh, r, fluxes = state.mesh, tn.relaxed, tn.fluxes
+    o, nb = mesh.face_owner, mesh.face_outer
     vt = np.abs(fluxes.u_star)
     D = np.max(mesh.perimeter_ratio * _cell_max(
         mesh, np.maximum(r.tau[o] * fluxes.a, vt),
@@ -146,7 +144,7 @@ def test_face_side_maxima_equal_per_cell_form(meshes, kind, bc, data):
     w = mesh.face_length * fluxes.a
     dt = data.draw(st.floats(1e-6, 1.0))
     assert acoustic_cfl_fraction(mesh, r.tau, fluxes, dt) == dt * np.max(
-        r.tau[:n] * _cell_max(mesh, w, w) / mesh.area)
+        r.tau * _cell_max(mesh, w, w) / mesh.area)
 
 
 @pytest.mark.parametrize("policy", ["corrected", "unity"])
@@ -158,12 +156,13 @@ def test_face_fluxes_equal_scalar_kernels(meshes, kind, bc, policy, data):
     # every field of the in-place face evaluation is the composition of
     # the scalar kernels of the 1D reference solver, bit for bit; so are
     # the fluxes of another state with the time-n ones frozen
-    mesh = meshes[kind]
     p = Params(theta_policy=policy)
-    p, state, tn = _state(mesh, BCS[bc], *_fields(data, mesh.n_cells), p)
-    o, nb = mesh.face_owner, mesh.face_neighbor
+    p, state, tn = _state(meshes[kind], BCS[bc],
+                          *_fields(data, meshes[kind].n_cells), p)
+    mesh = state.mesh
+    o, nb = mesh.face_owner, mesh.face_outer
     nx, ny = mesh.face_normal[:, 0], mesh.face_normal[:, 1]
-    h, z = tn.h, state.topo.z
+    h, z = state.conserved.h, state.topo.z
 
     def kernels(u, pi, a=None, theta=None, src=None):
         if a is None:

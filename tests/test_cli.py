@@ -153,10 +153,12 @@ LAKE = "[scenario]\nname = lake_at_rest\n"
     (LAKE + "[run]\ncut_y = nan\n", [], "case.cfg"),
     (LAKE + "[run]\ncut_y = 5\n", [], "cut_y"),
     ("[DEFAULT]\ntf = 0.5\n" + LAKE, [], "[DEFAULT]"),
+    (LAKE + "[run]\noutput_every = -3\n", [], "case.cfg"),
 ], ids=["domain", "repeated-key", "no-section", "nx-0", "mesh-flag-nx-0",
         "mesh-file-missing", "mesh-flag-file-missing", "dt_max-0",
         "dt_max-negative", "dt_max-nan", "g-nan", "kappa-nan", "tf-negative",
-        "tf-nan", "cut-y-nan", "cut-y-outside", "default-section"])
+        "tf-nan", "cut-y-nan", "cut-y-outside", "default-section",
+        "output-every-negative"])
 def test_malformed_input_exits_2(tmp_path, capsys, text, flags, named):
     cfg = _cfg(tmp_path, text)
     out = tmp_path / "o"

@@ -8,9 +8,8 @@ import lpswe.acoustic as acoustic
 import lpswe.driver as drv
 from lpswe import mesh as meshmod
 from lpswe.acceptance import lake_at_rest_errors
-from lpswe.driver import (BoundaryCondition, apply_bc, build_donor, dt_exex,
-                          dt_imex, ghost_topography, prepare_state, run,
-                          run_steps, time_level)
+from lpswe.driver import (BoundaryCondition, apply_bc, dt_exex, dt_imex,
+                          prepare_state, run, run_steps, time_level)
 from lpswe.exceptions import (CFLError, ConfigError, LpsweError,
                               PositivityError, SolverError)
 from lpswe.fields import ConservedField, Params, Topography, to_relaxed
@@ -36,48 +35,64 @@ def test_absorbing_is_neumann_alias():
     assert BoundaryCondition.periodic_x().bottom == "neumann"
 
 
-def test_neumann_donor_is_adjacent_owner():
-    m = meshmod.build_cartesian(3, 3)
-    donor = build_donor(m, BoundaryCondition())
-    assert np.array_equal(donor, m.face_owner[m.boundary_faces])
+@pytest.mark.parametrize("bc", [
+    BoundaryCondition(), BoundaryCondition.periodic_x(),
+    BoundaryCondition.periodic_all()], ids=["neumann", "periodic_x",
+                                            "periodic_all"])
+@pytest.mark.parametrize("build", [
+    lambda: meshmod.build_cartesian(4, 3),
+    lambda: meshmod.build_triangulated(3, 4),
+    lambda: meshmod.build_cartesian(6, 3, (0.0, 2.0, 0.0, 1.0)),
+    "mixed",
+], ids=["cartesian", "triangulated", "cartesian-2x1-domain", "mixed"])
+def test_apply_bc_outer_cells(build, bc, mixed_mesh):
+    # an interior face reads its neighbor, a zero-gradient face its own
+    # owner, a periodic face the owner of the face across the domain
+    m = mixed_mesh if build == "mixed" else build()
+    bound = apply_bc(m, bc)
+    assert m.face_outer is None
+    outer = bound.face_outer
+    assert outer.dtype == np.intp and outer.shape == (m.n_faces,)
+    inner = m.face_neighbor < m.n_cells
+    assert np.array_equal(outer[inner], m.face_neighbor[inner])
+    x0, x1, y0, y1 = m.bbox
+    kinds = {meshmod.LEFT: bc.left, meshmod.RIGHT: bc.right,
+             meshmod.BOTTOM: bc.bottom, meshmod.TOP: bc.top}
+    for f, side in zip(m.boundary_faces, m.boundary_sides()):
+        if kinds[side] == "neumann":
+            assert outer[f] == m.face_owner[f]
+            continue
+        # the paired face: same midpoint shifted by the domain's width or
+        # height, found by a search over all boundary faces
+        shift = {meshmod.LEFT: (x1 - x0, 0.0), meshmod.RIGHT: (x0 - x1, 0.0),
+                 meshmod.BOTTOM: (0.0, y1 - y0),
+                 meshmod.TOP: (0.0, y0 - y1)}[side]
+        d = np.hypot(*(m.face_midpoint[m.boundary_faces]
+                       - m.face_midpoint[f] - shift).T)
+        g = m.boundary_faces[np.argmin(d)]
+        assert d.min() <= 1e-12
+        assert outer[f] == m.face_owner[g] and outer[g] == m.face_owner[f]
 
 
-def test_periodic_donor_pairs_opposite_cells():
-    m = meshmod.build_cartesian(4, 1)
-    donor = build_donor(m, BoundaryCondition.periodic_x(y_kind="neumann"))
-    sides = m.boundary_sides()
-    left = np.nonzero(sides == meshmod.LEFT)[0]
-    right = np.nonzero(sides == meshmod.RIGHT)[0]
-    # ghost behind the left boundary face must hold the rightmost cell
-    assert donor[left[0]] == m.face_owner[m.boundary_faces[right[0]]]
-    assert donor[right[0]] == m.face_owner[m.boundary_faces[left[0]]]
-
-
-def test_apply_bc_copies_donor_values():
-    m = meshmod.build_cartesian(3, 2)
-    bc = BoundaryCondition()
-    donor = build_donor(m, bc)
-    h = np.arange(1.0, m.n_total + 1.0)
-    c = ConservedField(h, np.zeros((m.n_total, 2)))
-    apply_bc(c, m, donor)
-    assert np.array_equal(c.h[m.n_cells:], c.h[donor])
-
-
-def test_ghost_topography_matches_donor():
-    m = meshmod.build_cartesian(4, 4)
-    donor = build_donor(m, BoundaryCondition())
-    z = bump_topography(m.centroid[:, 0])
-    topo = ghost_topography(z, m, donor)
-    assert len(topo.z) == m.n_total
-    assert np.array_equal(topo.z[m.n_cells:], topo.z[donor])
+@pytest.mark.parametrize("left_y, right_y, message", [
+    ([0.5], [], "2 faces on one side and 1 on the other"),
+    ([0.3], [0.5], "do not pair up")], ids=["count", "position"])
+def test_apply_bc_rejects_unpaired_periodic_faces(left_y, right_y, message):
+    # one unit square cell, its left and right sides split at these y
+    verts = ([(0.0, 0.0), (1.0, 0.0)] + [(1.0, y) for y in right_y]
+             + [(1.0, 1.0), (0.0, 1.0)] + [(0.0, y) for y in left_y])
+    m = meshmod._mesh_from_cells(verts, [0, len(verts)],
+                                 np.arange(len(verts)))
+    with pytest.raises(ConfigError, match=message):
+        apply_bc(m, BoundaryCondition.periodic_x())
 
 
 def _fluxes(mesh, p, h0=1.0, u0=(0.5, 0.0)):
-    n = mesh.n_total
+    n = mesh.n_cells
     h = np.full(n, h0)
     u = np.tile(u0, (n, 1))
     c = ConservedField(h, h[:, None] * u)
-    r = to_relaxed(c, p, n_interior=mesh.n_cells)
+    r = to_relaxed(c, p)
     return r, evaluate_face_fluxes(mesh, r.u, r.pi, h,
                                    np.zeros(mesh.n_faces), p)
 
@@ -87,7 +102,7 @@ def test_dt_exex_uniform_state_formula():
     # face speed max(tau*a, |u|) with a = 1.01*sqrt(g), u_star in {0.5, 0}
     p = Params()
     n = 4
-    mesh = meshmod.build_cartesian(n, n)
+    mesh = apply_bc(meshmod.build_cartesian(n, n), BoundaryCondition())
     r, fluxes = _fluxes(mesh, p)
     a = 1.01 * np.sqrt(p.g)
     expected = p.k_cfl / (2.0 * 4.0 * n * max(a, 0.5))
@@ -98,7 +113,7 @@ def test_dt_exex_uniform_state_formula():
 def test_dt_imex_only_transport_speed():
     p = Params(scheme="IMEX")
     n = 4
-    mesh = meshmod.build_cartesian(n, n)
+    mesh = apply_bc(meshmod.build_cartesian(n, n), BoundaryCondition())
     r, fluxes = _fluxes(mesh, p)
     expected = p.k_cfl / (2.0 * 4.0 * n * 0.5)
     u_star = fluxes.u_star
@@ -118,8 +133,9 @@ def test_run_reaches_final_time_exactly():
 
 
 def test_report_mass_drift_includes_first_step(tmp_path):
-    # Neumann ghosts copy h = 1 + x and u = (1, 0): more water leaves on
-    # the right than enters on the left, so one step changes the mass
+    # Neumann faces read h = 1 + x and u = (1, 0) of their own owner: more
+    # water leaves on the right than enters on the left, so one step
+    # changes the mass
     p = Params(dt_max=1e-3)
     mesh = meshmod.build_cartesian(8, 8)
     h = 1.0 + mesh.centroid[:, 0]
@@ -128,7 +144,7 @@ def test_report_mass_drift_includes_first_step(tmp_path):
               BoundaryCondition(), p, 1e-3)
     assert rep.steps == 1
     m0 = np.sum(mesh.area * h)
-    m1 = np.sum(mesh.area * rep.final.h[:mesh.n_cells])
+    m1 = np.sum(mesh.area * rep.final.h)
     drift = abs(m1 - m0) / m0
     assert drift > 1e-4
     write_report(rep, tmp_path / "report.txt")
@@ -143,13 +159,12 @@ def test_max_froude_matches_per_cell_formula():
     sc = get_scenario("vortex_flat")
     mesh = meshmod.build_cartesian(16, 16, sc.domain)
     topo, ic = sc.build(mesh, p)
-    n = mesh.n_cells
     per_step = []
 
     def per_cell(state, dt):
-        h = state.conserved.h[:n]
-        speed = np.hypot(state.conserved.hu[:n, 0],
-                         state.conserved.hu[:n, 1]) / h
+        h = state.conserved.h
+        speed = np.hypot(state.conserved.hu[:, 0],
+                         state.conserved.hu[:, 1]) / h
         per_step.append(np.max(speed / np.sqrt(p.g * h)))
 
     rep = run(mesh, topo, ic, sc.bc, p, 0.01, callback=per_cell)
@@ -197,14 +212,15 @@ def test_imex_lagged_dt_bootstrap():
 
 
 def test_imex_builds_implicit_pattern_once(monkeypatch):
-    # the sparsity of the implicit system depends on the mesh and donors
-    # only: one build serves every attempt of a run, rejected ones too
+    # the sparsity of the implicit system depends on the mesh and its
+    # boundary conditions only: one build serves every attempt of a run,
+    # rejected ones too
     builds, attempts = [], []
     build, attempt = drv.implicit_pattern, drv.implicit_acoustic
 
-    def counted_build(mesh, donor):
+    def counted_build(mesh):
         builds.append(mesh)
-        return build(mesh, donor)
+        return build(mesh)
 
     def counted_attempt(*args, **kwargs):
         attempts.append(kwargs.get("pattern"))
@@ -274,7 +290,7 @@ def test_imex_gives_up_after_repeated_rejections(monkeypatch):
 
 def test_imex_give_up_message_counts_positivity(monkeypatch):
     # rejections by positivity leave the last attempt without a fraction
-    def never_positive(tn, mesh, p, dt, donor, pattern):
+    def never_positive(tn, mesh, p, dt, pattern):
         raise PositivityError("forced", cell=0)
 
     monkeypatch.setattr(drv, "implicit_acoustic", never_positive)
@@ -293,13 +309,13 @@ def test_imex_positivity_retry_dt(monkeypatch, suggested):
     dts = []
     attempt = drv.implicit_acoustic
 
-    def first_fails(tn, mesh, p, dt, donor, pattern):
+    def first_fails(tn, mesh, p, dt, pattern):
         dts.append(dt)
         if len(dts) == 1:
             raise PositivityError(
                 "forced", cell=0,
                 suggested_dt=None if suggested is None else suggested * dt)
-        return attempt(tn, mesh, p, dt, donor, pattern=pattern)
+        return attempt(tn, mesh, p, dt, pattern=pattern)
 
     monkeypatch.setattr(drv, "implicit_acoustic", first_fails)
     p, sc, mesh, topo, ic = _imex_dam_break()
@@ -345,18 +361,17 @@ def _reference_advance(state, dt_max):
     tn = time_level(state)
     if p.scheme == "EXEX":
         dt = dt_exex(mesh, tn.relaxed.tau, tn.fluxes, p, dt_max)
-        ac = acoustic.explicit_acoustic(tn, mesh, dt, state.donor)
+        ac = acoustic.explicit_acoustic(tn, mesh, dt)
         assert ac.relaxed.pi is not None
     else:
         if state.next_dt is None:
             state.next_dt = dt_exex(mesh, tn.relaxed.tau, tn.fluxes, p,
                                     dt_max)
         dt = state.next_dt
-        pattern = acoustic.implicit_pattern(mesh, state.donor)
+        pattern = acoustic.implicit_pattern(mesh)
         for _ in range(20):
             try:
-                ac = acoustic.implicit_acoustic(tn, mesh, p, dt, state.donor,
-                                                pattern)
+                ac = acoustic.implicit_acoustic(tn, mesh, p, dt, pattern)
             except PositivityError as exc:
                 dt = min(0.5 * dt, exc.suggested_dt or 0.5 * dt)
                 continue
@@ -490,3 +505,23 @@ def test_run_on_prepared_inputs_keeps_dz(scheme):
     assert raw.steps == prepared.steps > 0
     assert np.array_equal(raw.final.h, prepared.final.h)
     assert np.array_equal(raw.final.hu, prepared.final.hu)
+
+
+@pytest.mark.parametrize("scheme", ["EXEX", "IMEX"])
+def test_run_and_advance_leave_initial_unchanged(scheme):
+    # prepare_state holds the caller's arrays without a copy, so no step
+    # may write into them; the final state has one entry per cell
+    p = Params(scheme=scheme)
+    sc = get_scenario("vortex_flat")
+    mesh = meshmod.build_triangulated(6, 6, sc.domain)
+    topo, ic = sc.build(mesh, p)
+    before = ic.copy(), topo.z.copy()
+    rep = run(mesh, topo, ic, sc.bc, p, 0.002)
+    state = prepare_state(mesh, topo, ic, sc.bc, p)
+    drv.advance(state, np.inf, 0.01)
+    assert rep.steps > 0 and state.step == 1
+    assert np.array_equal(ic.h, before[0].h)
+    assert np.array_equal(ic.hu, before[0].hu)
+    assert np.array_equal(topo.z, before[1])
+    assert rep.final.h.shape == (mesh.n_cells,)
+    assert rep.final.hu.shape == (mesh.n_cells, 2)

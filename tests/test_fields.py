@@ -63,14 +63,6 @@ def test_to_relaxed_rejects_dry_cell():
     assert exc.value.cell == 1
 
 
-def test_to_relaxed_ignores_ghost_entries():
-    # with n_interior set, a bad ghost value must not raise
-    h = np.array([1.0, 2.0, -1.0])
-    c = ConservedField(h, np.zeros((3, 2)))
-    r = to_relaxed(c, Params(), n_interior=2)
-    assert np.isfinite(r.tau[:2]).all()
-
-
 def test_copy_is_deep():
     c = ConservedField(np.ones(3), np.zeros((3, 2)))
     d = c.copy()

@@ -247,7 +247,11 @@ def _reference_mesh(vertices, offsets, vertex_ids):
 
 
 def _assert_same_mesh(mesh, ref):
+    # face_outer is set per run (driver.apply_bc), not by the build
+    assert mesh.face_outer is None
     for f in dataclasses.fields(meshmod.Mesh):
+        if f.name == "face_outer":
+            continue
         got, want = getattr(mesh, f.name), getattr(ref, f.name)
         assert got.dtype == want.dtype, f.name
         assert got.shape == want.shape, f.name
@@ -429,5 +433,7 @@ def test_build_memory_peak(build):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    size = sum(getattr(m, f.name).nbytes for f in dataclasses.fields(m))
+    # face_outer is not built here (None until driver.apply_bc)
+    size = sum(getattr(m, f.name).nbytes for f in dataclasses.fields(m)
+               if f.name != "face_outer")
     assert peak <= 3.7 * size
