@@ -52,7 +52,7 @@ class AcousticResult:
 
 @dataclass
 class LinearSystem:
-    """Sparse implicit acoustic system over (u1, u2, Pi) per interior cell.
+    """Sparse implicit acoustic system over (u1, u2, Pi) per cell.
 
     Unknown ordering is interleaved: cell j owns rows/cols 3j, 3j+1, 3j+2.
     ``solve_implicit`` sets the last two fields.
@@ -61,7 +61,6 @@ class LinearSystem:
     A: "scipy.sparse.csr_matrix"
     b: np.ndarray
     x0: np.ndarray      # the Krylov start: x^n, or x^n + dt rate
-    n_cells: int
     iterations: int = 0          # BiCGSTAB iterations over all attempts
     residual: float = np.nan     # true ||Ax - b|| / ||b|| of the result
 
@@ -288,7 +287,7 @@ def assemble_implicit(tn: TimeLevel, mesh, dt,
                               T * mesh.cell_sums(wy, wy),
                               -T * mesh.cell_sums(wa)]).ravel()
     x0 = xn if tn.rate is None else xn + dt * tn.rate
-    return LinearSystem(A=A, b=b, x0=x0, n_cells=n)
+    return LinearSystem(A=A, b=b, x0=x0)
 
 
 def _bicgstab(A, b, x, atol, max_iter):
@@ -356,7 +355,7 @@ def solve_implicit(system: LinearSystem, tol, max_iter=500):
         res = np.linalg.norm(A @ x - b)
         system.residual = res / b_norm
         if res <= bound:
-            xr = x.reshape(system.n_cells, 3)
+            xr = x.reshape(-1, 3)
             return xr[:, 0:2].copy(), xr[:, 2].copy()
     raise SolverError(
         f"implicit acoustic solve missed tolerance: "

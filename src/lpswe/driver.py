@@ -60,17 +60,18 @@ class BoundaryCondition:
 
 
 def apply_bc(mesh, bc: BoundaryCondition):
-    """``mesh`` bound to the boundary conditions ``bc``: a copy whose
-    ``face_outer`` gives the cell each face reads on its outer side.
+    """``mesh`` bound to the boundary conditions ``bc``.
 
-    An interior face reads its neighbor, a zero-gradient boundary face its
-    own owner, and a periodic boundary face the owner of the paired face
-    on the opposite side.
+    A built mesh already carries the zero-gradient closure in
+    ``face_outer``, so with no periodic side ``mesh`` itself is returned.
+    Otherwise the result is a copy whose ``face_outer`` makes each periodic
+    boundary face read the owner of the paired face on the opposite side.
     """
+    if "periodic" not in (bc.left, bc.bottom):
+        return mesh
     sides = mesh.boundary_sides()
     bf = mesh.boundary_faces
-    outer = mesh.face_neighbor.copy()
-    outer[bf] = mesh.face_owner[bf]
+    outer = mesh.face_outer.copy()
 
     def pair(side_a, side_b, coord):
         fa = bf[sides == side_a]

@@ -4,7 +4,7 @@
 
 Arrays hold one entry per mesh cell.  No boundary values are stored: a
 boundary face reads its outer side from a cell through ``Mesh.face_outer``
-(see driver.apply_bc).
+(its owner, or across the domain after driver.apply_bc pairs it).
 """
 
 import math
@@ -60,9 +60,6 @@ class ConservedField:
 
     h: np.ndarray    # (n_cells,)
     hu: np.ndarray   # (n_cells, 2)
-
-    def copy(self) -> "ConservedField":
-        return ConservedField(self.h.copy(), self.hu.copy())
 
 
 @dataclass

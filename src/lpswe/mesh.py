@@ -4,12 +4,13 @@
 
 Faces are stored once.  The stored normal points from the owner cell to the
 neighbor; the neighbor sees the same face with the opposite normal.  Each
-face reads the state of its outer side from one cell, ``face_outer``, which
-a run sets from its boundary conditions, so that flux kernels never
+face reads the state of its outer side from one cell, ``face_outer``: the
+build sets the zero-gradient closure (a boundary face reads its own owner),
+and ``driver.apply_bc`` re-pairs periodic faces, so that flux kernels never
 special-case the boundary.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -22,13 +23,12 @@ LEFT, RIGHT, BOTTOM, TOP = 0, 1, 2, 3
 
 @dataclass
 class Mesh:
-    """Polygonal mesh with one ghost id behind every boundary face.
+    """Polygonal mesh whose boundary faces have the neighbor ``n_cells``.
 
-    Cell indices 0..n_cells-1 are the cells.  The neighbor of boundary face
-    ``boundary_faces[i]`` is the ghost id n_cells + i: no state is stored
-    for it, and the per-cell sums drop its bin.  ``face_outer`` gives the
-    cell whose state a face reads on its outer side; it is None until
-    ``driver.apply_bc`` binds the mesh to boundary conditions.
+    Cell indices 0..n_cells-1 are the cells.  ``n_cells`` marks the missing
+    neighbor of a boundary face: no state is stored for it, and the
+    per-cell sums drop its bin.  ``face_outer`` gives the cell whose state
+    a face reads on its outer side.
     """
 
     vertices: np.ndarray            # (nv, 2)
@@ -38,28 +38,20 @@ class Mesh:
     area: np.ndarray                # (n_cells,)
     centroid: np.ndarray            # (n_cells, 2)
     face_owner: np.ndarray          # (nf,)
-    face_neighbor: np.ndarray       # (nf,) interior id or ghost id >= n_cells
+    face_neighbor: np.ndarray       # (nf,) interior id, n_cells on boundary
     face_normal: np.ndarray         # (nf, 2), unit, owner -> neighbor
     face_length: np.ndarray         # (nf,)
     face_midpoint: np.ndarray       # (nf, 2)
-    boundary_faces: np.ndarray      # (n_ghost,) face ids, ghost i sits behind
-                                    # boundary_faces[i]
-    bbox: np.ndarray = field(default=None)  # (xmin, xmax, ymin, ymax)
+    boundary_faces: np.ndarray      # face ids with neighbor n_cells
+    bbox: np.ndarray                # (xmin, xmax, ymin, ymax)
     # (nf,) the cell each face reads on its neighbor side: the neighbor, or
-    # the cell the boundary closure copies; set by driver.apply_bc
-    face_outer: np.ndarray = field(default=None)
+    # the cell the boundary closure copies (the owner unless apply_bc
+    # pairs the face periodically)
+    face_outer: np.ndarray
 
     @property
     def n_cells(self) -> int:
         return len(self.area)
-
-    @property
-    def n_ghost(self) -> int:
-        return len(self.boundary_faces)
-
-    @property
-    def n_total(self) -> int:
-        return self.n_cells + self.n_ghost
 
     @property
     def n_faces(self) -> int:
@@ -70,18 +62,18 @@ class Mesh:
         interior neighbor cells ``w_neighbor``, by default ``-w_owner``
         (subtracted, not built: the same bits).
 
-        The neighbor weights are binned over the ghost ids too and the
-        ghost bins dropped, which gives each interior bin the same terms in
+        The neighbor weights are binned over the boundary marker too and
+        its bin dropped, which gives each interior bin the same terms in
         the same order as a sum over the interior faces alone.
         """
         n = self.n_cells
         out = np.bincount(self.face_owner, weights=w_owner, minlength=n)
         if w_neighbor is None:
             out -= np.bincount(self.face_neighbor, weights=w_owner,
-                               minlength=self.n_total)[:n]
+                               minlength=n + 1)[:n]
         else:
             out += np.bincount(self.face_neighbor, weights=w_neighbor,
-                               minlength=self.n_total)[:n]
+                               minlength=n + 1)[:n]
         return out
 
     @cached_property
@@ -92,9 +84,8 @@ class Mesh:
     @cached_property
     def side_ratio(self):
         """``perimeter_ratio`` of each face's owner and of its neighbor,
-        0 for a ghost neighbor."""
-        r = np.zeros(self.n_total)
-        r[:self.n_cells] = self.perimeter_ratio
+        0 on the boundary."""
+        r = np.append(self.perimeter_ratio, 0.0)
         return r[self.face_owner], r[self.face_neighbor]
 
     def boundary_sides(self) -> np.ndarray:
@@ -244,14 +235,16 @@ def _mesh_from_cells(vertices, offsets, vertex_ids) -> Mesh:
     owner = cell[first]
     neighbor = cell[last]
     boundary_faces = np.nonzero(last < 0)[0]
-    neighbor[boundary_faces] = n_cells + np.arange(len(boundary_faces))
+    neighbor[boundary_faces] = n_cells
+    # zero-gradient closure: a boundary face reads its own owner
+    outer = np.where(last < 0, owner, neighbor)
 
     bbox = np.stack([vertices.min(axis=0), vertices.max(axis=0)], 1).ravel()
     return Mesh(vertices=vertices, cell_offsets=offsets, cell_vertex_ids=ids,
                 area=areas, centroid=centroids, face_owner=owner,
                 face_neighbor=neighbor, face_normal=normal,
                 face_length=length, face_midpoint=midpoint,
-                boundary_faces=boundary_faces, bbox=bbox)
+                boundary_faces=boundary_faces, bbox=bbox, face_outer=outer)
 
 
 def _grid_vertices(nx, ny, domain):

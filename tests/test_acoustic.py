@@ -297,7 +297,7 @@ def test_bicgstab_matches_dense_solve(n_cells, seed):
     R = rng.normal(size=(n, n))
     A = np.eye(n) + 0.5 * R / np.linalg.norm(R, 2)
     b = rng.normal(size=n)
-    system = LinearSystem(sp.csr_matrix(A), b, rng.normal(size=n), n_cells)
+    system = LinearSystem(sp.csr_matrix(A), b, rng.normal(size=n))
     u, pi = solve_implicit(system, tol=1e-12)
     x = np.linalg.solve(A, b)
     err = np.column_stack([u, pi]).ravel() - x
@@ -312,7 +312,7 @@ def test_bicgstab_breakdown_raises_finite_solver_error():
     K = np.triu(rng.integers(-9, 10, (6, 6)), 1).astype(float)
     A = K - K.T
     b = np.arange(1.0, 7.0)
-    system = LinearSystem(sp.csr_matrix(A), b, np.zeros(6), 2)
+    system = LinearSystem(sp.csr_matrix(A), b, np.zeros(6))
     with pytest.raises(SolverError) as exc:
         solve_implicit(system, tol=1e-10)
     assert exc.value.residual == np.linalg.norm(b)

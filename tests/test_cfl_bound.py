@@ -114,7 +114,7 @@ def _cell_max(mesh, w_owner, w_neighbor):
     """Per-cell max of face weights (and 0), owner cells over ``w_owner``
     and interior neighbor cells over ``w_neighbor``: the reference form of
     the maxima, one ``np.maximum.at`` per side."""
-    out = np.zeros(mesh.n_total)
+    out = np.zeros(mesh.n_cells + 1)
     np.maximum.at(out, mesh.face_owner, w_owner)
     np.maximum.at(out, mesh.face_neighbor, w_neighbor)
     return out[:mesh.n_cells]

@@ -3,6 +3,8 @@ import pytest
 
 from lpswe import acceptance
 from lpswe.cli import main
+from lpswe.mesh import build_triangulated, write_mesh
+from lpswe.scenarios import get_scenario
 
 
 def _cfg(tmp_path, text):
@@ -39,6 +41,23 @@ def test_run_overrides(tmp_path, capsys):
                  "--tf", "0.01", "--mesh", "cartesian:5:5",
                  "--out", str(tmp_path / "o")])
     assert code == 0
+
+
+def test_run_on_mesh_file_matches_generated_mesh(tmp_path, capsys):
+    # a mesh written to a file and read back gives the run of the
+    # generated mesh, byte for byte
+    cfg = _cfg(tmp_path, "[scenario]\nname = lake_at_rest\n")
+    path = tmp_path / "tri6.swmesh"
+    sc = get_scenario("lake_at_rest")
+    write_mesh(build_triangulated(6, 6, sc.domain), path)
+    outs = {}
+    for name, mesh in (("file", str(path)), ("generated", "tri:6:6")):
+        outs[name] = tmp_path / name
+        assert main(["run", cfg, "--mesh", mesh, "--tf", "0.01",
+                     "--out", str(outs[name])]) == 0
+    for f in ("run_cut.csv", "run_final.vtk"):
+        got = (outs["file"] / f).read_bytes()
+        assert got and got == (outs["generated"] / f).read_bytes()
 
 
 def test_run_bad_config_exits_2(tmp_path, capsys):

@@ -61,10 +61,3 @@ def test_to_relaxed_rejects_dry_cell():
     with pytest.raises(PositivityError) as exc:
         to_relaxed(c, Params())
     assert exc.value.cell == 1
-
-
-def test_copy_is_deep():
-    c = ConservedField(np.ones(3), np.zeros((3, 2)))
-    d = c.copy()
-    d.h[0] = 5.0
-    assert c.h[0] == 1.0

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from lpswe.driver import BoundaryCondition, apply_bc
 from lpswe.fields import Params
 from lpswe.flux_kernels import (evaluate_face_fluxes, hydrostatic_source,
                                 impedance, interface_pressures,
@@ -16,8 +15,8 @@ def _two_cell_mesh(ang):
                       [0.0, 1.0], [1.0, 1.0], [2.0, 1.0]])
     R = np.array([[np.cos(ang), -np.sin(ang)],
                   [np.sin(ang), np.cos(ang)]])
-    mesh = _mesh_from_cells(verts @ R.T, [0, 4, 8], [0, 1, 4, 3, 1, 2, 5, 4])
-    return apply_bc(mesh, BoundaryCondition()), R
+    return _mesh_from_cells(verts @ R.T, [0, 4, 8],
+                            [0, 1, 4, 3, 1, 2, 5, 4]), R
 
 
 def _jump(mesh, z):

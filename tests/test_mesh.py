@@ -14,7 +14,7 @@ def test_cartesian_counts_and_areas():
     m = meshmod.build_cartesian(4, 3)
     assert m.n_cells == 12
     assert m.n_faces == 4 * 4 + 5 * 3  # horizontal rows + vertical columns
-    assert m.n_ghost == 2 * (4 + 3)
+    assert len(m.boundary_faces) == 2 * (4 + 3)
     assert np.allclose(m.area, 1.0 / 12.0)
     assert np.allclose(m.area.sum(), 1.0)
 
@@ -100,9 +100,11 @@ def test_boundary_sides_classification():
 
 
 def test_ghost_indices_follow_boundary_faces():
+    # the marker n_cells is the neighbor of exactly the boundary faces
     m = meshmod.build_cartesian(3, 2)
-    for i, f in enumerate(m.boundary_faces):
-        assert m.face_neighbor[f] == m.n_cells + i
+    marked = np.nonzero(m.face_neighbor == m.n_cells)[0]
+    assert np.array_equal(marked, m.boundary_faces)
+    assert np.all(m.face_neighbor <= m.n_cells)
 
 
 def test_cw_cell_rejected():
@@ -235,7 +237,9 @@ def _reference_mesh(vertices, offsets, vertex_ids):
     normal = np.stack([edge[:, 1], -edge[:, 0]], axis=1) / length[:, None]
     bmask = neighbor < 0
     boundary_faces = np.nonzero(bmask)[0]
-    neighbor[bmask] = n_cells + np.arange(bmask.sum())
+    neighbor[bmask] = n_cells
+    outer = neighbor.copy()
+    outer[bmask] = owner[bmask]
     bbox = np.array([vertices[:, 0].min(), vertices[:, 0].max(),
                      vertices[:, 1].min(), vertices[:, 1].max()])
     return meshmod.Mesh(
@@ -243,15 +247,11 @@ def _reference_mesh(vertices, offsets, vertex_ids):
         area=areas, centroid=centroids, face_owner=owner,
         face_neighbor=neighbor, face_normal=normal, face_length=length,
         face_midpoint=0.5 * (p0 + p1), boundary_faces=boundary_faces,
-        bbox=bbox)
+        bbox=bbox, face_outer=outer)
 
 
 def _assert_same_mesh(mesh, ref):
-    # face_outer is set per run (driver.apply_bc), not by the build
-    assert mesh.face_outer is None
     for f in dataclasses.fields(meshmod.Mesh):
-        if f.name == "face_outer":
-            continue
         got, want = getattr(mesh, f.name), getattr(ref, f.name)
         assert got.dtype == want.dtype, f.name
         assert got.shape == want.shape, f.name
@@ -433,7 +433,8 @@ def test_build_memory_peak(build):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # face_outer is not built here (None until driver.apply_bc)
+    # measured against the fields other than face_outer, which a build
+    # makes after its peak
     size = sum(getattr(m, f.name).nbytes for f in dataclasses.fields(m)
                if f.name != "face_outer")
     assert peak <= 3.7 * size
