@@ -148,24 +148,32 @@ class ImplicitPattern:
     boundary conditions (``Mesh.face_outer``), and the constant map from
     per-face scalars to its values.
 
-    Row p of ``S`` belongs to the stored entry at data position p: it holds
-    the geometric factor +-l w_c w_k / 2 of each face that contributes to
-    that entry, in the column q * n_faces + f of scalar q of face f (the
-    scalars as in ``assemble_implicit``).  ``diag`` is the position of each
-    diagonal entry.
+    Column q * n_faces + f of ``S`` holds the geometric factors
+    +-l w_c w_k / 2 of face f for its scalar q (as in ``assemble_implicit``),
+    each in the row of the data position it contributes to; ``S`` is
+    stored by column.  ``diag`` is the position of each diagonal entry.
     """
 
     indptr: np.ndarray
     indices: np.ndarray
     diag: np.ndarray
-    S: "scipy.sparse.csr_matrix"
+    S: "scipy.sparse.csc_matrix"
 
 
-# Entry (c, k) = (e // 3, e % 3) of a face's 3x3 Jacobian block takes the
-# face scalar _SCALAR[e] of (theta a, 1, a^2, a); in the columns of the
-# neighbor cell the theta a and a entries change sign.
+# Entry e = 3c + k of a face's 3x3 Jacobian block takes the face scalar
+# _SCALAR[e] of (theta a, 1, a^2, a); in the columns of the outer cell the
+# theta a and a entries change sign.
 _SCALAR = np.array([0, 0, 1, 0, 0, 1, 2, 2, 3])
 _SIGN_M = np.where((_SCALAR == 0) | (_SCALAR == 3), -1.0, 1.0)
+# Bit e of a face's entry mask is set where w_c w_k != 0, w = (n_x, n_y, 1):
+# _MASK[(n_x != 0) + 2 (n_y != 0)], octal digit c holding row c.  _DIAG is
+# the diagonal's mask, _POP[b] the number of bits set in b < 8, and
+# _PER_SCALAR[kind, q] the entries of _MASK[kind] that take scalar q.
+_MASK = np.array([0o400, 0o505, 0o660, 0o777], np.int16)
+_DIAG = 0o421
+_POP = np.array([0, 1, 1, 2, 1, 2, 2, 3], np.int32)
+_PER_SCALAR = np.array([[0, 0, 0, 1], [1, 1, 1, 1], [1, 1, 1, 1],
+                        [4, 2, 2, 1]])
 
 
 def implicit_pattern(mesh) -> ImplicitPattern:
@@ -179,61 +187,98 @@ def implicit_pattern(mesh) -> ImplicitPattern:
     column unknown k (0: u1, 1: u2, 2: Pi) is +-l w_c w_k / 2 with
     w = (n_x, n_y, 1) times one face scalar, so it is zero by geometry when
     w_c w_k is.  An entry is stored when some face gives it a nonzero
-    factor, or when it is on the diagonal.
+    factor, or when it is on the diagonal: a block stores the OR of its
+    faces' entry masks.  Only the block keys are sorted; the entry
+    positions follow from the masks by counts.
     """
     import scipy.sparse as sp
 
     n, nf = mesh.n_cells, mesh.n_faces
     o, nb, m = mesh.face_owner, mesh.face_neighbor, mesh.face_outer
-    inner = np.nonzero(nb < n)[0]
-    w = np.column_stack([mesh.face_normal, np.ones(nf)])
-    geo = ((w[:, :, None] != 0.0) & (w[:, None, :] != 0.0)).reshape(nf, 9)
+    nx, ny = mesh.face_normal.T
+    kind = (nx != 0.0) + 2 * (ny != 0.0)
+    # The faces in the order interior, paired boundary (m != o) and
+    # zero-gradient boundary (m == o): 4, 2 and 1 slots each.
+    group = np.where(nb < n, 0, np.where(m != o, 1, 2))
+    perm = np.argsort(group, kind="stable")
+    n_in, n_out = np.cumsum(np.bincount(group, minlength=3))[:2]
+    fmask = _MASK[kind[perm]]
 
-    # One key row * 3n + col per nonzero contribution, slot by slot: the
-    # owner rows take the face's entries with sign +, the interior-neighbor
-    # rows with sign -; in the columns of m the theta a and a entries take
-    # one more sign.  The 3n diagonal keys follow.
-    N = 3 * n
-    every = np.arange(nf)
-    slots = ((every, o, o, np.ones(9)),
-             (every, o, m, _SIGN_M),
-             (inner, nb, o, -np.ones(9)),
-             (inner, nb, nb, -_SIGN_M))
-    size = 2 * (np.count_nonzero(geo) + np.count_nonzero(geo[inner]))
-    keys = np.empty(size + N, np.int64)
-    cols = np.empty(size, np.int32)
-    vals = np.empty(size)
-    start = 0
-    for faces, row_cell, col_cell, sign in slots:
-        i, e = np.nonzero(geo[faces])
-        f = faces[i]
-        stop = start + len(f)
-        keys[start:stop] = ((3 * row_cell[f] + e // 3) * N
-                            + 3 * col_cell[f] + e % 3)
-        cols[start:stop] = _SCALAR[e] * nf + f
-        vals[start:stop] = (0.5 * sign[e] * mesh.face_length[f]
-                            * w[f, e // 3] * w[f, e % 3])
-        start = stop
-    keys[size:] = np.arange(N) * (N + 1)
-    del geo, i, e, f   # freed before the sort: lowers the peak
-
-    # Sorted, each run of equal keys is one stored entry, in CSR order; the
-    # entry of a key is the number of runs starting up to it, less one.
+    # Slot by slot: how many faces in that order have it, the cells of its
+    # block, and its signs.  The owner rows take the face's entries with
+    # sign +, the interior-neighbor rows with sign -; in the columns of m
+    # the theta a and a entries take one more sign.  Where m == o, slot 1
+    # falls in slot 0's entries.  One key row * n + col per slot and face,
+    # and the n diagonal block keys last.
+    slots = ((nf, o, o, np.ones(9)),
+             (n_out, o, m, _SIGN_M),
+             (n_in, nb, o, -np.ones(9)),
+             (n_in, nb, nb, -_SIGN_M))
+    keys = np.concatenate([row[perm[:c]] * n + col[perm[:c]]
+                           for c, row, col, _ in slots]
+                          + [np.arange(n) * (n + 1)])
+    masks = np.concatenate([fmask[:c] for c, *_ in slots]
+                           + [np.full(n, _DIAG, np.int16)])
+    # Sorted, each run of equal keys is one block, in CSR order.
     order = np.argsort(keys)
     keys = keys[order]
     first = np.empty(len(keys), bool)
     first[0] = True
     np.not_equal(keys[1:], keys[:-1], out=first[1:])
-    pos = np.empty(len(keys), np.int32)
-    pos[order] = np.cumsum(first, dtype=np.int32) - 1
-    del order   # freed before the CSR conversion
-    keys = keys[first]
-    indptr = np.searchsorted(keys, np.arange(N + 1) * N).astype(np.int32)
-    indices = (keys % N).astype(np.int32)
-    diag = pos[size:].copy()
-    # Where m == o (a zero-gradient boundary face) slots 0 and 1 give one
-    # entry the same column twice; the CSR conversion sums them.
-    S = sp.csr_matrix((vals, (pos[:size], cols)), shape=(len(indices), 4 * nf))
+    blk = np.empty(len(keys), np.int32)       # the block of each key
+    blk[order] = np.cumsum(first) - 1
+    runs = np.nonzero(first)[0]
+    bmask = np.bitwise_or.reduceat(masks[order], runs)
+    row, col = np.divmod(keys[runs], n)
+    del keys, order, first, masks, runs
+
+    # Row 3j + c holds the entries (c, k) of the blocks (j, *), in column
+    # order: cnt counts them per block, and start is each block's first.
+    cnt = _POP[(bmask >> np.array([[0], [3], [6]])) & 7]
+    before = np.cumsum(cnt, axis=1, dtype=np.int32) - cnt
+    lead = np.searchsorted(row, np.arange(n))   # every cell has (j, j)
+    indptr = np.zeros(3 * n + 1, np.int32)
+    np.cumsum(np.add.reduceat(cnt, lead, axis=1).T, out=indptr[1:])
+    start = before + (indptr[:-1].reshape(n, 3).T - before[:, lead])[:, row]
+    del cnt, before, lead
+
+    def entry(b, e):
+        """Data positions of entry e of the blocks b, whose masks hold it."""
+        c, k = divmod(e, 3)
+        return start[c][b] + _POP[(bmask[b] >> 3 * c) & ((1 << k) - 1)]
+
+    indices = np.empty(indptr[-1], np.int32)
+    for e in range(9):
+        b = np.nonzero((bmask >> e) & 1)[0]
+        indices[entry(b, e)] = 3 * col[b] + e % 3
+    diag = np.column_stack([entry(blk[-n:], e) for e in (0, 4, 8)]).ravel()
+
+    # S by column q * nf + f: face f's factors for scalar q, entry by
+    # entry, slot by slot; each slot signs the entry's one l w_c w_k / 2.
+    nslot = np.array([4, 2, 1])[group]
+    ptr = np.zeros(4 * nf + 1, np.int32)
+    np.cumsum(_PER_SCALAR[kind].T * nslot, out=ptr[1:])
+    data = np.empty(ptr[-1])
+    rows = np.empty(ptr[-1], np.int32)
+    free = ptr[:-1].copy()                    # each column's next place
+    blocks = np.split(blk[:-n], np.cumsum([c for c, *_ in slots[:-1]]))
+    w = (nx, ny, np.ones(nf))
+    for e in range(9):
+        i = np.nonzero(fmask & (1 << e))[0]
+        f = perm[i]
+        v = 0.5 * mesh.face_length[f] * w[e // 3][f] * w[e % 3][f]
+        qf = _SCALAR[e] * nf + f
+        at = free[qf]
+        free[qf] += nslot[f]
+        for s, ((size, *_, sign), b) in enumerate(zip(slots, blocks)):
+            j = np.searchsorted(i, size)
+            rows[at[:j] + s] = entry(b[i[:j]], e)
+            data[at[:j] + s] = sign[e] * v[:j]
+        # Slot 1 of a face with m == o adds its factor to slot 0's, as a
+        # sum of duplicates would: an entry may cancel to zero.
+        j = np.searchsorted(i, n_out)
+        data[at[j:]] += _SIGN_M[e] * v[j:]
+    S = sp.csc_matrix((data, rows, ptr), shape=(len(indices), 4 * nf))
     return ImplicitPattern(indptr=indptr, indices=indices, diag=diag, S=S)
 
 
@@ -269,12 +314,16 @@ def assemble_implicit(tn: TimeLevel, mesh, dt,
     a, theta, src = tn.fluxes.a, tn.fluxes.theta, tn.fluxes.src
 
     # T D F: S sums each entry of D F over its faces, and the rows of cell j
-    # carry T_j = dt tau_j / |K_j| times that sum (the entries of its three
-    # rows are contiguous in data).
+    # carry T_j = dt tau_j / |K_j| times that sum.  They are contiguous in
+    # data, scaled in place a block of cells at a time: no second
+    # nnz-sized array.
     T = dt * r.tau / mesh.area
     data = pattern.S @ np.concatenate([theta * a, np.ones(mesh.n_faces),
                                        a * a, a])
-    data *= np.repeat(T, np.diff(pattern.indptr[::3]))
+    ends = pattern.indptr[::3]
+    for j in range(0, n, 1024):
+        k = min(j + 1024, n)
+        data[ends[j]:ends[k]] *= np.repeat(T[j:k], np.diff(ends[j:k + 1]))
     data[pattern.diag] += 1.0
     A = sp.csr_matrix((data, pattern.indices, pattern.indptr),
                       shape=(3 * n, 3 * n))

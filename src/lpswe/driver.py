@@ -239,12 +239,14 @@ def advance(state: RunState, t_remaining: float, dt_max: float) -> float:
 def prepare_state(mesh, topo: Topography, initial: ConservedField,
                   bc: BoundaryCondition, p: Params) -> RunState:
     """The state at t = 0: ``mesh`` bound to ``bc`` (``apply_bc``), and the
-    face bottom jump attached to a topography that does not carry it yet.
+    face bottom jump of that binding.  A topography's own jump is kept when
+    it is this binding's: bindings differ on the boundary faces only.
     ``initial`` is held, not copied: no step writes into its arrays."""
     mesh = apply_bc(mesh, bc)
-    if topo.dz is None or len(topo.dz) != mesh.n_faces:
-        topo = Topography(topo.z, dz=topo.z[mesh.face_outer]
-                          - topo.z[mesh.face_owner])
+    z, dz, bf = topo.z, topo.dz, mesh.boundary_faces
+    if (dz is None or len(dz) != mesh.n_faces or not np.array_equal(
+            dz[bf], z[mesh.face_outer[bf]] - z[mesh.face_owner[bf]])):
+        topo = Topography(z, dz=z[mesh.face_outer] - z[mesh.face_owner])
     return RunState(conserved=initial, topo=topo, mesh=mesh, params=p)
 
 

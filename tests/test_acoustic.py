@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -222,8 +223,14 @@ def _dense_face_operator(mesh, d, magnitude=False):
     # the neumann faces above and below read their own owner
     (meshmod.build_cartesian, 5, 1, BoundaryCondition.periodic_x()),
     (meshmod.build_triangulated, 5, 4, BoundaryCondition()),
+    # the periodic faces across x read their own owner
+    (meshmod.build_cartesian, 1, 3, BoundaryCondition.periodic_all()),
+    # an interior and a periodic face join the same two cells
+    (meshmod.build_cartesian, 2, 2, BoundaryCondition.periodic_all()),
+    (meshmod.build_triangulated, 3, 2, BoundaryCondition.periodic_all()),
 ], ids=["mixed-neumann", "mixed-periodic", "quad5x1-periodic_x",
-        "tri5x4-neumann"])
+        "tri5x4-neumann", "quad1x3-periodic", "quad2x2-periodic",
+        "tri3x2-periodic"])
 def test_pattern_stores_exactly_the_nonzeros(build, nx, ny, bc, mixed_mesh):
     # a stored structural zero fails no value test but slows every product
     # with A, so the stored entries are checked against the geometry
@@ -250,6 +257,26 @@ def test_pattern_stores_exactly_the_nonzeros(build, nx, ny, bc, mixed_mesh):
     np.testing.assert_allclose(pattern.S @ np.concatenate(d),
                                DF[rows, pattern.indices],
                                rtol=0.0, atol=1e-14 * np.max(np.abs(DF)))
+
+
+@pytest.mark.parametrize("build, bc", [
+    (meshmod.build_cartesian, BoundaryCondition.periodic_x()),
+    (meshmod.build_triangulated, BoundaryCondition()),
+], ids=["quads-periodic_x", "triangles"])
+def test_pattern_memory_peak(build, bc):
+    # the pattern build's traced peak, its result included, stays within 2
+    # times the bytes of the arrays it returns
+    mesh = apply_bc(build(160, 160), bc)
+    tracemalloc.start()
+    try:
+        pattern = implicit_pattern(mesh)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    S = pattern.S
+    size = sum(a.nbytes for a in (pattern.indptr, pattern.indices,
+                                  pattern.diag, S.data, S.indices, S.indptr))
+    assert peak <= 2.0 * size
 
 
 def test_solver_rejects_bad_tol():

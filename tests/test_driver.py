@@ -542,6 +542,23 @@ def test_run_on_prepared_inputs_keeps_dz(scheme):
     assert np.array_equal(raw.final.hu, prepared.final.hu)
 
 
+def test_run_replaces_dz_of_another_binding():
+    # a jump prepared under the zero-gradient closure is 0 on the faces
+    # that periodic_x pairs; a periodic run must use its own binding's jump,
+    # which keeps this lake at rest
+    mesh = meshmod.build_cartesian(6, 4)
+    z = np.random.default_rng(1).uniform(0.0, 0.1, mesh.n_cells)
+    ic = ConservedField(1.0 - z, np.zeros((mesh.n_cells, 2)))
+    p = Params()
+    neumann = prepare_state(mesh, Topography(z), ic, BoundaryCondition(), p)
+    bc = BoundaryCondition.periodic_x()
+    stale = run(mesh, neumann.topo, ic, bc, p, 0.01)
+    fresh = run(mesh, Topography(z), ic, bc, p, 0.01)
+    assert np.array_equal(stale.final.h, fresh.final.h)
+    assert np.array_equal(stale.final.hu, fresh.final.hu)
+    assert np.max(np.abs(fresh.final.h + z - 1.0)) < 1e-12
+
+
 @pytest.mark.parametrize("scheme", ["EXEX", "IMEX"])
 def test_run_and_advance_leave_initial_unchanged(scheme):
     # prepare_state holds the caller's arrays without a copy, so no step
