@@ -24,6 +24,7 @@ import numpy as np
 from .exceptions import CFLError, PositivityError, SolverError
 from .fields import Params, RelaxedField
 from .flux_kernels import FaceFlux, evaluate_face_fluxes
+from .mesh import map_parts
 
 
 @dataclass
@@ -70,18 +71,6 @@ class LinearSystem:
 ACOUSTIC_CFL_LIMIT = 0.5 * (1.0 + 1e-12)
 
 
-def _pressure_force(mesh, fluxes):
-    """Per-cell sum_k l pi_star n / |K|: the owner sees pi_star_L n, the
-    neighbor pi_star_R (-n)."""
-    wL = mesh.face_length * fluxes.pi_star_L
-    wR = -(mesh.face_length * fluxes.pi_star_R)
-    force = np.empty((mesh.n_cells, 2))
-    for d in (0, 1):
-        nd = mesh.face_normal[:, d]
-        force[:, d] = mesh.cell_sums(wL * nd, wR * nd) / mesh.area
-    return force
-
-
 def acoustic_cfl_fraction(mesh, tau, fluxes, dt):
     """dt * max_j(tau_j * max_k sigma_jk * a_jk); must be <= 1/2 for the
     explicit scheme.  One max over the owner side of every face and the
@@ -95,18 +84,47 @@ def acoustic_cfl_fraction(mesh, tau, fluxes, dt):
                     np.max(tau[nb] * w_nb / mesh.area[nb], initial=0.0))
 
 
-def _tau_update(mesh, tau, dt, fluxes):
-    # sum_k sigma_jk u_star_jk, the neighbor seeing -u_star
-    divu = mesh.cell_sums(mesh.face_length * fluxes.u_star) / mesh.area
-    tau1 = tau + tau * dt * divu
-    bad = np.nonzero(tau1 <= 0.0)[0]
+def _tau_force(part, mesh, tau, dt, fluxes, tau1, force):
+    """tau1 = tau (1 + dt sum_k sigma_jk u_star_jk), the neighbor seeing
+    -u_star, and the pressure force sum_k l pi_star n / |K| (the owner
+    sees pi_star_L n, the neighbor pi_star_R (-n)) of the cells of
+    ``part``, into ``tau1`` and ``force``."""
+    cells, span = part.cells, part.span
+    l, area, t = mesh.face_length[span], mesh.area[cells], tau[cells]
+    divu = part.sums(l * fluxes.u_star[span]) / area
+    t1 = np.add(t, t * dt * divu, out=tau1[cells])
+    bad = np.nonzero(t1 <= 0.0)[0]
     if bad.size:
         j = int(bad[0])
         suggested = 0.45 * dt / max(dt * abs(divu[j]), 1e-300)
         raise PositivityError(
-            f"acoustic step produced tau <= 0 in cell {j}",
-            cell=j, suggested_dt=suggested)
-    return tau1
+            f"acoustic step produced tau <= 0 in cell {cells.start + j}",
+            cell=cells.start + j, suggested_dt=suggested)
+    # The weights (l pi_star_L) n_d and (-(l pi_star_R)) n_d, built in
+    # place per direction: two face arrays, not four.
+    pi_L, pi_R = fluxes.pi_star_L[span], fluxes.pi_star_R[span]
+    for d in (0, 1):
+        nd = mesh.face_normal[span, d]
+        wL, wR = l * pi_L, l * pi_R
+        np.negative(wR, out=wR)
+        wL *= nd
+        wR *= nd
+        force[cells, d] = part.sums(wL, wR) / area
+
+
+def _explicit_part(part, mesh, r, dt, fluxes, out, force):
+    """``explicit_acoustic`` on the cells of ``part``, into ``out``."""
+    _tau_force(part, mesh, r.tau, dt, fluxes, out.tau, force)
+    cells, span = part.cells, part.span
+    tau_dt = r.tau[cells] * dt
+    np.subtract(r.u[cells], tau_dt[:, None] * force[cells],
+                out=out.u[cells])
+    if out.pi is not None:
+        # Pi update with the face-local impedance squared.
+        a = fluxes.a[span]
+        wa = mesh.face_length[span] * a * a * fluxes.u_star[span]
+        acc_pi = part.sums(wa) / mesh.area[cells]
+        np.subtract(r.pi[cells], tau_dt * acc_pi, out=out.pi[cells])
 
 
 def explicit_acoustic(tn: TimeLevel, mesh, dt, cfl_bound=None,
@@ -117,7 +135,8 @@ def explicit_acoustic(tn: TimeLevel, mesh, dt, cfl_bound=None,
     this dt; the exact fraction is computed only when no bound is given or
     the bound is over the limit, and a fraction over 1/2 raises CFLError.
     With ``update_pi`` False the Pi update is skipped and the result's
-    ``relaxed.pi`` is None (the combined update does not read it).
+    ``relaxed.pi`` is None (the combined update does not read it).  The
+    update runs part by part (``mesh.parts``, through ``map_parts``).
     """
     r, fluxes = tn.relaxed, tn.fluxes
 
@@ -127,19 +146,12 @@ def explicit_acoustic(tn: TimeLevel, mesh, dt, cfl_bound=None,
             raise CFLError(f"acoustic CFL violated: dt*max(tau*sigma*a) = "
                            f"{frac:.3e} > 1/2")
 
-    tau1 = _tau_update(mesh, r.tau, dt, fluxes)
-
-    force = _pressure_force(mesh, fluxes)
-    u1 = r.u - (r.tau * dt)[:, None] * force
-
-    pi1 = None
-    if update_pi:
-        # Pi update with the face-local impedance squared.
-        wa = mesh.face_length * fluxes.a * fluxes.a * fluxes.u_star
-        acc_pi = mesh.cell_sums(wa) / mesh.area
-        pi1 = r.pi - r.tau * dt * acc_pi
-
-    return AcousticResult(RelaxedField(tau1, u1, pi1), fluxes.u_star, force)
+    n = mesh.n_cells
+    out = RelaxedField(np.empty(n), np.empty((n, 2)),
+                       np.empty(n) if update_pi else None)
+    force = np.empty((n, 2))
+    map_parts(_explicit_part, mesh.parts, mesh, r, dt, fluxes, out, force)
+    return AcousticResult(out, fluxes.u_star, force)
 
 
 @dataclass
@@ -425,6 +437,7 @@ def implicit_acoustic(tn: TimeLevel, mesh, p: Params, dt,
 
     fluxes = evaluate_face_fluxes(mesh, u1, pi1, None, None, p,
                                   frozen=tn.fluxes)
-    tau1 = _tau_update(mesh, r.tau, dt, fluxes)
-    return AcousticResult(RelaxedField(tau1, u1, pi1), fluxes.u_star,
-                          _pressure_force(mesh, fluxes), rate)
+    tau1, force = np.empty(mesh.n_cells), np.empty((mesh.n_cells, 2))
+    map_parts(_tau_force, mesh.parts, mesh, r.tau, dt, fluxes, tau1, force)
+    return AcousticResult(RelaxedField(tau1, u1, pi1), fluxes.u_star, force,
+                          rate)

@@ -17,6 +17,7 @@ from .acoustic import (ImplicitPattern, TimeLevel, explicit_acoustic,
 from .exceptions import CFLError, ConfigError, LpsweError, PositivityError
 from .fields import ConservedField, Params, Topography, to_relaxed
 from .flux_kernels import evaluate_face_fluxes
+from .mesh import map_parts
 from .transport import combined_update, transport_cfl_fraction
 
 
@@ -110,12 +111,19 @@ def _speed_max(mesh, u_star, tau=None, a=None):
     |u*|)) over the faces k of cell j (|u*| only when ``tau`` is None), as
     one max over both sides of every face, ratio 0 on the outer side of a
     boundary face: the per-cell max bit for bit, since rounding is
-    monotone."""
-    r_o, r_nb = mesh.side_ratio
-    vt = np.abs(u_star)
+    monotone.  Each of ``mesh.parts`` takes the max over its own faces."""
+    return max(map_parts(_speed_max_part, mesh.parts, mesh, mesh.side_ratio,
+                         u_star, tau, a))
+
+
+def _speed_max_part(part, mesh, side_ratio, u_star, tau, a):
+    """``_speed_max`` over the faces of ``part``."""
+    f = part.faces
+    r_o, r_nb = side_ratio[0][f], side_ratio[1][f]
+    vt = np.abs(u_star[f])
     if tau is None:
         return np.max(np.maximum(r_o, r_nb) * vt)
-    return max(np.max(np.maximum(tau[cells] * a, vt) * r)
+    return max(np.max(np.maximum(tau[cells[f]] * a[f], vt) * r)
                for cells, r in ((mesh.face_owner, r_o),
                                 (mesh.face_outer, r_nb)))
 
@@ -163,6 +171,8 @@ class RunReport:
     max_froude: float
     final: ConservedField
     t_final: float
+    mesh_parts: int = 1         # len(Mesh.parts) of the run's mesh
+    threads: int = 1            # the threads the parts ran on
 
 
 def time_level(state: RunState) -> TimeLevel:
@@ -170,7 +180,7 @@ def time_level(state: RunState) -> TimeLevel:
     equilibrium, the face fluxes, and the last accepted implicit solve's
     rate."""
     p = state.params
-    relaxed = to_relaxed(state.conserved, p)
+    relaxed = to_relaxed(state.conserved, p, state.mesh.parts)
     fluxes = evaluate_face_fluxes(state.mesh, relaxed.u, relaxed.pi,
                                   state.conserved.h, state.topo.dz, p)
     return TimeLevel(relaxed, fluxes, state.rate)
@@ -291,7 +301,9 @@ def run(mesh, topo: Topography, initial: ConservedField,
         if callback is not None:
             callback(state, dt)
     wall = time.perf_counter() - t0
+    parts = len(state.mesh.parts)
     return RunReport(steps=state.step, wall_time=wall, dt_history=dts,
                      mass_history=masses,
                      max_froude=math.sqrt(max_fr2 / p.g),
-                     final=state.conserved, t_final=state.t)
+                     final=state.conserved, t_final=state.t,
+                     mesh_parts=parts, threads=min(parts, meshmod.WORKERS))

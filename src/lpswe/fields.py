@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import PositivityError
+from .mesh import map_parts
 
 
 @dataclass
@@ -87,19 +88,34 @@ def sound_speed(h, g):
     return np.sqrt(g * h)
 
 
-def _check_positive(x, what):
+def _check_positive(x, what, first=0):
+    """Raise PositivityError for the lowest entry of ``x`` <= 0, whose cell
+    is ``first`` plus its index."""
     bad = np.nonzero(x <= 0.0)[0]
     if bad.size:
         j = int(bad[0])
-        raise PositivityError(
-            f"{what} non-positive in cell {j} ({what} = {x[j]:.3e})", cell=j)
+        raise PositivityError(f"{what} non-positive in cell {first + j} "
+                              f"({what} = {x[j]:.3e})", cell=first + j)
 
 
-def to_relaxed(c: ConservedField, p: Params) -> RelaxedField:
+def _relax_cells(cells, c, p, out):
+    """``to_relaxed`` on the cells ``cells``, into ``out``."""
+    h = c.h[cells]
+    _check_positive(h, "h", cells.start)
+    tau = np.divide(1.0, h, out=out.tau[cells])
+    np.multiply(c.hu[cells], tau[:, None], out=out.u[cells])
+    pi = np.multiply(p.g, h, out=out.pi[cells])
+    pi *= h
+    pi /= 2.0
+
+
+def to_relaxed(c: ConservedField, p: Params, parts=None) -> RelaxedField:
     """Re-initialize the relaxed state from (h, hu): tau = 1/h, u = hu/h,
-    Pi = g*h^2/2 (the equilibrium pressure)."""
-    _check_positive(c.h, "h")
-    tau = 1.0 / c.h
-    u = c.hu * tau[:, None]
-    pi = p.g * c.h * c.h / 2.0
-    return RelaxedField(tau, u, pi)
+    Pi = g*h^2/2 (the equilibrium pressure).  The cells split into the
+    mesh ``parts`` (``Mesh.parts``, by default one part) for
+    ``map_parts``; the result does not depend on the split."""
+    n = len(c.h)
+    out = RelaxedField(np.empty(n), np.empty((n, 2)), np.empty(n))
+    cells = [q.cells for q in parts] if parts else [slice(0, n)]
+    map_parts(_relax_cells, cells, c, p, out)
+    return out

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import Params, sound_speed
+from .mesh import map_parts
 
 
 @dataclass
@@ -85,7 +86,8 @@ def interface_pressures(pi_L, pi_R, u_nL, u_nR, a, theta, src):
 
 def evaluate_face_fluxes(mesh, u, pi, h_n, dz, p: Params,
                          frozen: FaceFlux = None) -> FaceFlux:
-    """The kernels above over every face, bit for bit, computed in place.
+    """The kernels above over every face, bit for bit, computed in place
+    part by part (``mesh.parts``, through ``map_parts``).
 
     ``u``/``pi`` are the states at the flux level, read on the outer side
     of a face through ``mesh.face_outer``; ``h_n`` and ``dz`` (the face
@@ -96,46 +98,61 @@ def evaluate_face_fluxes(mesh, u, pi, h_n, dz, p: Params,
     As h sqrt(g h) and sqrt(g h) grow with h, a and theta take the sound
     speed c = sqrt(g max(h_L, h_R)) of the deeper side only.
     """
-    o, nb = mesh.face_owner, mesh.face_outer
-    nx, ny = mesh.face_normal[:, 0], mesh.face_normal[:, 1]
-    if frozen is None:
-        if np.any(h_n <= 0.0):
+    nf = mesh.n_faces
+    a, theta, src = ((np.empty(nf) for _ in range(3)) if frozen is None
+                     else (frozen.a, frozen.theta, frozen.src))
+    out = FaceFlux(np.empty(nf), np.empty(nf), np.empty(nf), a, theta, src)
+    map_parts(_face_fluxes, mesh.parts, mesh, u, pi, h_n, dz, p,
+              frozen is not None, out)
+    return out
+
+
+def _face_fluxes(part, mesh, u, pi, h_n, dz, p, frozen, out):
+    """``evaluate_face_fluxes`` on the faces of ``part``, into ``out``,
+    whose arrays hold intermediate values until their own are written."""
+    f = part.faces
+    o, nb = mesh.face_owner[f], mesh.face_outer[f]
+    nx, ny = mesh.face_normal[f, 0], mesh.face_normal[f, 1]
+    a, src, theta = out.a[f], out.src[f], out.theta[f]
+    pi_L, pi_c = out.pi_star_L[f], out.pi_star_R[f]
+    if not frozen:
+        if np.any(h_n[part.cells] <= 0.0):
             raise ValueError("non-positive depth in impedance")
-        h_L, h_R = h_n[o], h_n[nb]
-        a = np.maximum(h_L, h_R)
-        c = p.g * a
+        # the cell ids are in range: "wrap" skips the copy of ``out``
+        # that the default mode makes
+        h_L = np.take(h_n, o, out=src, mode="wrap")
+        h_R = np.take(h_n, nb, out=pi_L, mode="wrap")
+        np.maximum(h_L, h_R, out=a)
+        c = np.multiply(p.g, a, out=theta)
         a *= np.sqrt(c, out=c)
         a *= p.kappa
-        src = np.multiply(np.add(h_L, h_R, out=h_L), p.g, out=h_L)
+        src += h_R
+        src *= p.g
         src /= 2.0
-        src *= dz
-    else:
-        a, src = frozen.a, frozen.src
+        src *= dz[f]
     ux, uy = u[:, 0], u[:, 1]    # column gathers are cheaper than u[o, 0]
     u_nL, u_nR, buf = ux[o], ux[nb], uy[o]
     u_nL *= nx
     u_nR *= nx
     u_nL += np.multiply(buf, ny, out=buf)
-    u_nR += np.multiply(np.take(uy, nb, out=buf), ny, out=buf)
-    pi_o, pi_nb = pi[o], pi[nb]
+    u_nR += np.multiply(np.take(uy, nb, out=buf, mode="wrap"), ny, out=buf)
+    pi_o, pi_nb = np.take(pi, o, out=pi_c, mode="wrap"), pi[nb]
     two_a = 2.0 * a
-    u_star = u_nL + u_nR
+    u_star = np.add(u_nL, u_nR, out=out.u_star[f])
     u_star /= 2.0
     u_star -= np.divide(np.subtract(pi_nb, pi_o, out=buf), two_a, out=buf)
     u_star -= np.divide(src, two_a, out=buf)
-    if frozen is not None:
-        theta = frozen.theta
-    elif p.theta_policy == "unity":
-        theta = np.ones_like(u_star)
-    else:
-        theta = np.divide(np.abs(u_star), c, out=c)
-        np.minimum(theta, 1.0, out=theta)
+    if not frozen:
+        if p.theta_policy == "unity":
+            theta.fill(1.0)
+        else:   # theta holds c
+            np.divide(np.abs(u_star, out=buf), theta, out=theta)
+            np.minimum(theta, 1.0, out=theta)
     du = np.subtract(u_nR, u_nL, out=u_nR)
     du *= np.multiply(theta, a, out=two_a)
-    pi_c = np.add(pi_o, pi_nb, out=pi_o)
+    pi_c += pi_nb
     pi_c /= 2.0
     pi_c -= np.divide(du, 2.0, out=du)
     np.divide(src, 2.0, out=buf)
-    return FaceFlux(u_star=u_star, pi_star_L=pi_c + buf,
-                    pi_star_R=np.subtract(pi_c, buf, out=pi_c),
-                    a=a, theta=theta, src=src)
+    np.add(pi_c, buf, out=pi_L)
+    pi_c -= buf

@@ -178,7 +178,8 @@ def write_cut_csv(x, h, u, v, H, z, path) -> None:
 
 
 def write_report(report, path, extra=None) -> None:
-    """Plain-text run report (steps, wall time, mass drift, max Froude)."""
+    """Plain-text run report (steps, wall time, mass drift, max Froude,
+    and the threads and mesh parts the steps ran on)."""
     mass = report.mass_history
     drift = 0.0
     if mass:
@@ -193,6 +194,8 @@ def write_report(report, path, extra=None) -> None:
         else "dt_max = n/a",
         f"mass_drift_rel = {drift:.3e}",
         f"max_froude = {report.max_froude:.6e}",
+        f"threads = {report.threads}",
+        f"mesh_parts = {report.mesh_parts}",
     ]
     if extra:
         lines.extend(f"{k} = {v}" for k, v in extra.items())

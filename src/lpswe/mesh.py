@@ -8,8 +8,16 @@ face reads the state of its outer side from one cell, ``face_outer``: the
 build sets the zero-gradient closure (a boundary face reads its own owner),
 and ``driver.apply_bc`` re-pairs periodic faces, so that flux kernels never
 special-case the boundary.
+
+A step's face and cell loops split into ``Mesh.parts``, contiguous cell
+ranges that ``map_parts`` runs on a process-wide thread pool.  Owners never
+decrease in face order and an interior face's owner is below its neighbor,
+so each part's sums bin a contiguous face span, and every cell sum gets the
+same terms in the same order for any number of parts.
 """
 
+import os
+import threading
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -19,6 +27,95 @@ from .exceptions import MeshFormatError
 
 # Boundary side tags for rectangular domains.
 LEFT, RIGHT, BOTTOM, TOP = 0, 1, 2, 3
+
+# Threads a step's parts run on, the calling one included: one per CPU
+# this process may run on.
+WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+           else os.cpu_count() or 1)
+# Faces per part, at least: meshes up to 160x160 quads (51,520 faces, the
+# largest that `lpswe verify` runs) stay in one part.  An EXEX step on a
+# 2-core Xeon took 2.1 ms in two parts against 1.1 ms in one at 80x80, and
+# 15.8 ms in four parts against 26.9 ms in one at 320x320 (205,440 faces).
+PART_FACES = 50_000
+
+_pool = None
+_pool_lock = threading.Lock()
+
+
+def _forget_pool():
+    global _pool
+    _pool = None
+
+
+# A forked child has none of the pool's threads: it starts its own.
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def map_parts(fn, parts, *args):
+    """``[fn(part, *args) for part in parts]``.
+
+    With more than one part and more than one worker, the calling thread
+    runs every ``WORKERS``-th part and a pool of ``WORKERS - 1`` threads,
+    started on first use, the others (numpy releases the interpreter lock
+    in its loops).  All of them finish before the exception of the first
+    failing part in order, if any, is raised.
+    """
+    if len(parts) == 1 or WORKERS == 1:
+        return [fn(part, *args) for part in parts]
+    from concurrent.futures import Future, ThreadPoolExecutor, wait
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            _pool = ThreadPoolExecutor(WORKERS - 1, "lpswe-part")
+    futures = [Future() if i % WORKERS == 0 else _pool.submit(fn, part, *args)
+               for i, part in enumerate(parts)]
+    for part, future in zip(parts[::WORKERS], futures[::WORKERS]):
+        try:
+            future.set_result(fn(part, *args))
+        except Exception as exc:
+            future.set_exception(exc)
+    wait(futures)
+    return [f.result() for f in futures]
+
+
+@dataclass(frozen=True)
+class Part:
+    """The cells ``cells`` of a mesh, the faces ``faces`` they own, and the
+    face span ``span`` (ending with ``faces``) that holds every face whose
+    neighbor is one of them.
+
+    ``owner`` holds the owner of each face in ``faces`` and ``neighbor``
+    the neighbor of each face in ``span``, both counted from the part's
+    first cell; a neighbor outside the part (or the boundary marker) is the
+    part's cell count, the bin that ``sums`` drops.
+    """
+
+    cells: slice
+    faces: slice
+    span: slice
+    owner: np.ndarray
+    neighbor: np.ndarray
+
+    def sums(self, w_owner, w_neighbor=None):
+        """Per-cell sums of the face weights of ``span``: owner cells receive
+        ``w_owner``, neighbor cells ``w_neighbor``, by default ``-w_owner``
+        (subtracted, not built: the same bits).
+
+        The neighbor weights are binned over the cells outside the part too
+        and their bin dropped, which gives each cell's bin the same terms in
+        the same order as a sum over its own faces alone.
+        """
+        n = self.cells.stop - self.cells.start
+        w = w_owner[self.faces.start - self.span.start:]
+        out = np.bincount(self.owner, weights=w, minlength=n)
+        if w_neighbor is None:
+            out -= np.bincount(self.neighbor, weights=w_owner,
+                               minlength=n + 1)[:n]
+        else:
+            out += np.bincount(self.neighbor, weights=w_neighbor,
+                               minlength=n + 1)[:n]
+        return out
 
 
 @dataclass
@@ -58,23 +155,31 @@ class Mesh:
         return len(self.face_length)
 
     def cell_sums(self, w_owner, w_neighbor=None):
-        """Per-cell sums of face weights: owner cells receive ``w_owner``,
-        interior neighbor cells ``w_neighbor``, by default ``-w_owner``
-        (subtracted, not built: the same bits).
+        """Per-cell sums of face weights (``Part.sums`` of the whole mesh,
+        whose boundary marker is the dropped bin)."""
+        return self._part(0, self.n_cells).sums(w_owner, w_neighbor)
 
-        The neighbor weights are binned over the boundary marker too and
-        its bin dropped, which gives each interior bin the same terms in
-        the same order as a sum over the interior faces alone.
-        """
-        n = self.n_cells
-        out = np.bincount(self.face_owner, weights=w_owner, minlength=n)
-        if w_neighbor is None:
-            out -= np.bincount(self.face_neighbor, weights=w_owner,
-                               minlength=n + 1)[:n]
-        else:
-            out += np.bincount(self.face_neighbor, weights=w_neighbor,
-                               minlength=n + 1)[:n]
-        return out
+    def _part(self, c0, c1):
+        """The ``Part`` of cells c0..c1-1; the whole mesh's is views."""
+        o, nb = self.face_owner, self.face_neighbor
+        f0, f1 = (int(f) for f in np.searchsorted(o, (c0, c1)))
+        if c1 - c0 == self.n_cells:
+            return Part(slice(c0, c1), slice(f0, f1), slice(f0, f1), o, nb)
+        # A neighbor is above its owner, so its faces end by f1.
+        inside = (nb[:f1] >= c0) & (nb[:f1] < c1)
+        g0 = min(int(np.argmax(inside)) if inside.any() else f0, f0)
+        return Part(slice(c0, c1), slice(f0, f1), slice(g0, f1),
+                    o[f0:f1] - c0,
+                    np.where(inside[g0:], nb[g0:f1] - c0, c1 - c0))
+
+    @cached_property
+    def parts(self):
+        """The parts a step's loops run in: max(1, min(2 WORKERS,
+        n_faces // PART_FACES)) cell ranges of about equal face counts."""
+        k = max(1, min(2 * WORKERS, self.n_faces // PART_FACES))
+        cuts = self.face_owner[np.arange(1, k) * self.n_faces // k]
+        bounds = sorted({0, *cuts.tolist(), self.n_cells})
+        return [self._part(c0, c1) for c0, c1 in zip(bounds, bounds[1:])]
 
     @cached_property
     def perimeter_ratio(self) -> np.ndarray:

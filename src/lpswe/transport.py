@@ -12,6 +12,7 @@ import numpy as np
 from .acoustic import AcousticResult
 from .exceptions import CFLError, PositivityError
 from .fields import ConservedField, RelaxedField
+from .mesh import map_parts
 
 # Largest transport CFL fraction the update accepts (1 up to roundoff).
 TRANSPORT_CFL_LIMIT = 1.0 + 1e-12
@@ -48,10 +49,12 @@ def _check_cfl(mesh, u_star, dt, cfl_bound=None):
             f"transport CFL violated: dt*max inflow sum = {frac:.3e} > 1")
 
 
-def _check_h_positive(h):
+def _check_h_positive(h, first=0):
+    """Raise PositivityError for the lowest entry of ``h`` <= 0, whose cell
+    is ``first`` plus its index."""
     bad = np.nonzero(h <= 0.0)[0]
     if bad.size:
-        j = int(bad[0])
+        j = first + int(bad[0])
         raise PositivityError(
             f"transport produced h <= 0 in cell {j}", cell=j)
 
@@ -82,29 +85,39 @@ def combined_update(c_n: ConservedField, acoustic: AcousticResult, mesh,
     """Single-loop conservative update from time n:
     h^{n+1} = h^n - dt sum sigma h_face u_star;
     hu^{n+1} = hu^n - dt (sum sigma hu_face u_star + force), with the
-    pressure force sum sigma Pi_face n of the acoustic step.
+    pressure force sum sigma Pi_face n of the acoustic step, part by part
+    (``mesh.parts``, through ``map_parts``).
 
     ``cfl_bound`` is a known upper bound of the transport CFL fraction (or
     the fraction itself); the exact fraction is computed only when it is
     not given or over the limit.
     """
-    u_star = acoustic.u_star
-    _check_cfl(mesh, u_star, dt, cfl_bound)
-    r1 = acoustic.relaxed
-    h1 = 1.0 / r1.tau
+    _check_cfl(mesh, acoustic.u_star, dt, cfl_bound)
+    n = mesh.n_cells
+    out = ConservedField(np.empty(n), np.empty((n, 2)))
+    map_parts(_update_part, mesh.parts, mesh, c_n, acoustic, dt, out)
+    return out
 
-    # h and hu = u h of the upwind cell of each face (w.r.t. the
+
+def _update_part(part, mesh, c_n, acoustic, dt, out):
+    """``combined_update`` on the cells of ``part``, into ``out``."""
+    cells, span = part.cells, part.span
+    u_star, r1 = acoustic.u_star[span], acoustic.relaxed
+    # h = 1/tau and hu = u h of the upwind cell of each face (w.r.t. the
     # owner-frame u_star), gathered once.
-    lu = mesh.face_length * u_star
-    up = np.where(u_star >= 0.0, mesh.face_owner, mesh.face_outer)
-    h_up = h1[up]
-    out_h = c_n.h - dt * (mesh.cell_sums(lu * h_up) / mesh.area)
-    out_hu = c_n.hu.copy()
+    lu = mesh.face_length[span] * u_star
+    up = np.where(u_star >= 0.0, mesh.face_owner[span],
+                  mesh.face_outer[span])
+    h_up = r1.tau[up]
+    np.divide(1.0, h_up, out=h_up)
+    area = mesh.area[cells]
+    h = np.subtract(c_n.h[cells], dt * (part.sums(lu * h_up) / area),
+                    out=out.h[cells])
     for d in (0, 1):
         f = r1.u[:, d][up]
         f *= h_up
         f *= lu
-        dm = mesh.cell_sums(f) / mesh.area
-        out_hu[:, d] -= dt * (dm + acoustic.force[:, d])
-    _check_h_positive(out_h)
-    return ConservedField(out_h, out_hu)
+        dm = part.sums(f) / area
+        np.subtract(c_n.hu[cells, d], dt * (dm + acoustic.force[cells, d]),
+                    out=out.hu[cells, d])
+    _check_h_positive(h, cells.start)

@@ -53,7 +53,7 @@ def test_explicit_cfl_strict_raises():
         explicit_acoustic(tn, mesh, 1.0)
 
 
-def test_tau_positivity_error_has_suggestion():
+def _tau_positivity_error():
     # one-sided strong compression: tau collapses in the stalled cells
     p = Params()
     mesh = meshmod.build_cartesian(4, 1)
@@ -69,8 +69,20 @@ def test_tau_positivity_error_has_suggestion():
     dt = 0.45 / acoustic_cfl_fraction(mesh, tn.relaxed.tau, tn.fluxes, 1.0)
     with pytest.raises(PositivityError) as exc:
         explicit_acoustic(tn, mesh, dt)
-    assert exc.value.suggested_dt is not None
-    assert exc.value.suggested_dt > 0.0
+    return len(mesh.parts), exc.value
+
+
+def test_tau_positivity_error_has_suggestion(monkeypatch):
+    n_parts, err = _tau_positivity_error()
+    assert n_parts == 1
+    assert err.suggested_dt is not None
+    assert err.suggested_dt > 0.0
+    # in parts (13 faces cut into up to four), the error is the same
+    monkeypatch.setattr(meshmod, "PART_FACES", 3)
+    n_parts, in_parts = _tau_positivity_error()
+    assert n_parts > 1
+    assert (str(in_parts), in_parts.cell, in_parts.suggested_dt) == (
+        str(err), err.cell, err.suggested_dt)
 
 
 def test_implicit_matches_explicit_small_dt():
@@ -399,10 +411,14 @@ def test_bicgstab_imex_step_leaves_scipy_sparse_linalg_unloaded():
 
 def test_explicit_run_leaves_scipy_sparse_unloaded():
     # only the implicit step needs scipy.sparse (about 20 MB resident and
-    # 0.2 s of start-up), and it imports it on first use
+    # 0.2 s of start-up), and it imports it on first use.  Neither the
+    # import nor a run in one mesh part starts a thread or loads
+    # concurrent.futures; the first step in parts starts the pool.
     script = """if True:
-        import sys
+        import sys, threading
         import lpswe, lpswe.cli
+        if threading.active_count() != 1:
+            sys.exit(5)
         from lpswe import driver, mesh
         from lpswe.fields import Params
         from lpswe.scenarios import get_scenario
@@ -413,6 +429,15 @@ def test_explicit_run_leaves_scipy_sparse_unloaded():
         assert driver.run(m, topo, ic, sc.bc, p, 0.01).steps > 0
         if "scipy.sparse" in sys.modules:
             sys.exit(3)
+        if threading.active_count() != 1 or "concurrent.futures" in sys.modules:
+            sys.exit(6)
+        mesh.PART_FACES = 20
+        parts = driver.run(mesh.build_cartesian(6, 6), topo, ic, sc.bc, p,
+                           0.01)
+        assert parts.mesh_parts == min(2 * mesh.WORKERS, 84 // 20)
+        threads = threading.active_count()
+        if (threads > 1) != (parts.threads > 1) or threads > parts.threads:
+            sys.exit(7)
         p = Params(scheme="IMEX")
         state = driver.run_steps(m, topo, ic, sc.bc, p, 1, 0.01)
         assert state.step == 1

@@ -1,4 +1,8 @@
 import dataclasses
+import os
+import signal
+import sys
+import time
 import weakref
 
 import numpy as np
@@ -376,16 +380,28 @@ def test_solver_error_keeps_residual_and_step():
     assert exc.value.residual > p.solver_tol
 
 
-def test_positivity_error_keeps_cell_and_step():
+def test_positivity_error_keeps_cell_and_step(monkeypatch):
+    # in parts, cell 5 sits in a part that a pool thread runs, and the
+    # calling thread's parts hold bad cells too: the lowest bad cell is
+    # reported, as in one part
     p = Params()
-    mesh = meshmod.build_cartesian(4, 4)
     h = np.full(16, 1.0)
-    h[5] = 0.0
+    h[[5, 9, 13]] = 0.0
     ic = ConservedField(h, np.zeros((16, 2)))
-    with pytest.raises(PositivityError, match=r"^step 0: h non-positive") \
-            as exc:
-        run(mesh, Topography(np.zeros(16)), ic, BoundaryCondition(), p, 0.01)
-    assert exc.value.cell == 5
+    for grain in (None, 8):
+        if grain:
+            monkeypatch.setattr(meshmod, "PART_FACES", grain)
+        mesh = meshmod.build_cartesian(4, 4)
+        parts = [range(q.cells.start, q.cells.stop) for q in mesh.parts]
+        if grain:
+            assert len(parts) == min(2 * meshmod.WORKERS, 40 // grain) > 1
+            i = next(i for i, cells in enumerate(parts) if 5 in cells)
+            assert meshmod.WORKERS == 1 or i % meshmod.WORKERS
+        with pytest.raises(PositivityError, match=r"^step 0: h non-positive "
+                           r"in cell 5 \(h = 0.000e\+00\)$") as exc:
+            run(mesh, Topography(np.zeros(16)), ic, BoundaryCondition(), p,
+                0.01)
+        assert exc.value.cell == 5
 
 
 def _reference_advance(state, dt_max):
@@ -440,18 +456,88 @@ def _neumann_triangles_dam_break():
 @pytest.mark.parametrize("scheme", ["EXEX", "IMEX"])
 @pytest.mark.parametrize("case", [_periodic_quads,
                                   _neumann_triangles_dam_break])
-def test_advance_bitwise_equals_exact_check_stepper(case, scheme):
+def test_advance_bitwise_equals_exact_check_stepper(monkeypatch, case,
+                                                    scheme):
     # advance() skips the Pi update and the CFL passes its dt bound makes
-    # redundant; h and hu must not change by a single bit
+    # redundant; h and hu must not change by a single bit.  With a small
+    # grain, advance() runs the mesh in parts on the thread pool, and h, hu
+    # and every dt still equal those of one part.
     mesh, z, ic, bc = case()
     p = Params(scheme=scheme)
     state = prepare_state(mesh, Topography(z), ic, bc, p)
     ref = prepare_state(mesh, Topography(z), ic, bc, p)
+    assert len(state.mesh.parts) == len(ref.mesh.parts) == 1
+    monkeypatch.setattr(meshmod, "PART_FACES", 60)
+    split = prepare_state(case()[0], Topography(z), ic, bc, p)
+    n_parts = len(split.mesh.parts)
+    assert n_parts == min(2 * meshmod.WORKERS, mesh.n_faces // 60)
+    assert n_parts >= (3 if meshmod.WORKERS > 1 else 2)
     for _ in range(25):
         dt = drv.advance(state, np.inf, 0.01)
         assert _reference_advance(ref, 0.01) == dt
+        assert drv.advance(split, np.inf, 0.01) == dt
+    for s in (ref, split):
+        assert np.array_equal(state.conserved.h, s.conserved.h)
+        assert np.array_equal(state.conserved.hu, s.conserved.hu)
+
+
+@pytest.mark.parametrize("scheme", ["EXEX", "IMEX"])
+def test_parts_on_more_threads_than_cpus(monkeypatch, scheme):
+    # 16 parts on 8 threads switching every microsecond: each part writes
+    # its own slices, so h, hu and t stay those of the one-part run
+    mesh, z, ic, bc = _periodic_quads()
+    p = Params(scheme=scheme)
+    ref = run_steps(mesh, Topography(z), ic, bc, p, 10, 0.01)
+    monkeypatch.setattr(meshmod, "WORKERS", 8)
+    monkeypatch.setattr(meshmod, "PART_FACES", 16)
+    monkeypatch.setattr(meshmod, "_pool", None)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        state = run_steps(_periodic_quads()[0], Topography(z), ic, bc, p,
+                          10, 0.01)
+    finally:
+        sys.setswitchinterval(interval)
+        if meshmod._pool is not None:
+            meshmod._pool.shutdown(wait=False)
+    assert len(state.mesh.parts) == 16
+    assert state.t == ref.t
     assert np.array_equal(state.conserved.h, ref.conserved.h)
     assert np.array_equal(state.conserved.hu, ref.conserved.hu)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_child_forked_after_the_pool_started_runs_parts(monkeypatch):
+    # the child has none of the pool's threads: it starts a pool of its
+    # own instead of waiting forever on the parent's
+    monkeypatch.setattr(meshmod, "WORKERS", 2)
+    monkeypatch.setattr(meshmod, "PART_FACES", 60)
+    monkeypatch.setattr(meshmod, "_pool", None)
+    mesh, z, ic, bc = _periodic_quads()
+    ref = run_steps(mesh, Topography(z), ic, bc, Params(), 2, 0.01)
+    assert len(ref.mesh.parts) == 4 and meshmod._pool is not None
+    pid = os.fork()
+    if pid == 0:
+        code = 2    # the child never returns into the test run
+        try:
+            state = run_steps(mesh, Topography(z), ic, bc, Params(), 2,
+                              0.01)
+            code = int(not np.array_equal(state.conserved.h, ref.conserved.h))
+        finally:
+            os._exit(code)
+    try:
+        for _ in range(300):
+            done, status = os.waitpid(pid, os.WNOHANG)
+            if done:
+                break
+            time.sleep(0.1)
+        else:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            pytest.fail("the forked child's step did not finish in 30 s")
+    finally:
+        meshmod._pool.shutdown(wait=False)
+    assert os.waitstatus_to_exitcode(status) == 0
 
 
 def test_bicgstab_warm_start_keeps_steps_and_h(monkeypatch):

@@ -259,6 +259,29 @@ def _assert_same_mesh(mesh, ref):
         assert got.tobytes() == want.tobytes(), f.name
 
 
+def _assert_face_order(m):
+    """Owners never decrease in face order and an interior face's owner is
+    below its neighbor; so a part of cells c0..c1-1 owns a contiguous face
+    range, its span holds every face whose neighbor is one of its cells,
+    and its sums are the mesh's sums over those cells bit for bit."""
+    o, nb, n = m.face_owner, m.face_neighbor, m.n_cells
+    assert np.all(np.diff(o) >= 0)
+    inner = nb < n
+    assert np.all(o[inner] < nb[inner])
+    w = np.random.default_rng(1).normal(size=(2, m.n_faces))
+    for c0, c1 in zip((0, n // 3, 2 * n // 3), (n // 3, 2 * n // 3, n)):
+        part = m._part(c0, c1)
+        mine = np.arange(m.n_faces)[(nb >= c0) & (nb < c1)]
+        assert np.all((part.span.start <= mine) & (mine < part.span.stop))
+        assert part.span.stop == part.faces.stop
+        assert np.array_equal(np.arange(m.n_faces)[part.faces],
+                              np.nonzero((o >= c0) & (o < c1))[0])
+        for w_nb in (None, w[1][part.span]):
+            got = part.sums(w[0][part.span], w_nb)
+            want = m.cell_sums(w[0], None if w_nb is None else w[1])
+            assert got.tobytes() == want[c0:c1].tobytes()
+
+
 def _rotated_squares(ang):
     """Two unit squares side by side, rotated by ``ang`` about the origin."""
     verts = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0],
@@ -289,12 +312,14 @@ def test_mesh_fields_equal_reference(build):
     m = build()
     _assert_same_mesh(m, _reference_mesh(m.vertices, m.cell_offsets,
                                          m.cell_vertex_ids))
+    _assert_face_order(m)
 
 
 def test_mixed_mesh_fields_equal_reference(mixed_mesh):
     m = mixed_mesh
     _assert_same_mesh(m, _reference_mesh(m.vertices, m.cell_offsets,
                                          m.cell_vertex_ids))
+    _assert_face_order(m)
 
 
 @settings(max_examples=60, deadline=None)
@@ -325,6 +350,7 @@ def test_jittered_mixed_cells_equal_reference(nx, ny, split, seed):
     ids = np.concatenate(cells)
     m = meshmod._mesh_from_cells(verts, offsets, ids)
     _assert_same_mesh(m, _reference_mesh(verts, offsets, ids))
+    _assert_face_order(m)
     # unit normals and closed cells hold by construction, up to roundoff
     assert np.all(np.abs(np.hypot(*m.face_normal.T) - 1.0) <= 1e-14)
     wx, wy = m.face_length * m.face_normal.T
