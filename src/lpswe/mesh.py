@@ -246,14 +246,23 @@ def _cell_geometry(vertices, ids, cell, nxt, first, n_cells):
     # Convexity: the turn from edge c to edge nxt[c] is to the left, up to
     # roundoff relative to the two edge lengths (collinear vertices pass),
     # and the turns add up to one revolution (a star polygon makes two).
+    # turn = ex eyn - ey exn, dot = ex exn + ey eyn and the bound
+    # (-1e-12 length) length[nxt] are built in the corner buffers as their
+    # operands die (cross is dead since the centroids), so the check
+    # allocates no corner-sized float array.
     np.take(pn, nxt, axis=1, out=p, mode="wrap")  # p is now (exn, eyn)
-    turn = ex * eyn - ey * exn
-    reflex = turn < -1e-12 * length * length[nxt]
+    turn = np.multiply(ex, eyn, out=cross)
+    dot = np.multiply(ex, exn, out=ex)
+    dot += np.multiply(ey, eyn, out=eyn)
+    turn -= np.multiply(ey, exn, out=ey)
+    bound = np.multiply(-1e-12, length, out=exn)
+    bound *= np.take(length, nxt, out=eyn, mode="wrap")
+    reflex = turn < bound
     if np.any(reflex):
         c = int(np.argmax(reflex))
         raise MeshFormatError(
             f"cell {cell[c]} is not convex (reflex vertex {ids[nxt[c]]})")
-    angle = np.arctan2(turn, ex * exn + ey * eyn)
+    angle = np.arctan2(turn, dot, out=ey)
     revolutions = np.bincount(cell, angle, n_cells) / (2.0 * np.pi)
     if np.any(revolutions > 1.5):
         j = int(np.argmax(revolutions > 1.5))

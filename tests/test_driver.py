@@ -576,10 +576,13 @@ def test_bicgstab_warm_start_keeps_steps_and_h(monkeypatch):
 def test_update_runs_without_the_time_n_record(monkeypatch, scheme):
     # the combined update reads the acoustic result only: at its entry the
     # time-n relaxed state and every time-n face array are freed, except
-    # the u_star an explicit step hands on; refcounting makes this exact
-    time_n, alive = {}, []
-    relax, evaluate, update = (drv.to_relaxed, drv.evaluate_face_fluxes,
-                               drv.combined_update)
+    # the u_star an explicit step hands on; refcounting makes this exact.
+    # An explicit step frees a, theta, src and Pi before its acoustic step,
+    # which reads only u_star, pi_star_L, pi_star_R, tau and u.
+    time_n, alive, at_acoustic = {}, [], []
+    relax, evaluate, acoustic_step, update = (
+        drv.to_relaxed, drv.evaluate_face_fluxes, drv.explicit_acoustic,
+        drv.combined_update)
 
     def record_relaxed(*args, **kwargs):
         r = relax(*args, **kwargs)
@@ -595,6 +598,11 @@ def test_update_runs_without_the_time_n_record(monkeypatch, scheme):
                                 "theta", "src"))
         return fl
 
+    def check_acoustic(*args, **kwargs):
+        at_acoustic.append({k for k, ref in time_n.items()
+                            if ref() is not None})
+        return acoustic_step(*args, **kwargs)
+
     def check(c_n, ac, *args, **kwargs):
         alive.append({k for k, ref in time_n.items() if ref() is not None})
         if scheme == "EXEX":
@@ -603,11 +611,14 @@ def test_update_runs_without_the_time_n_record(monkeypatch, scheme):
 
     monkeypatch.setattr(drv, "to_relaxed", record_relaxed)
     monkeypatch.setattr(drv, "evaluate_face_fluxes", record_fluxes)
+    monkeypatch.setattr(drv, "explicit_acoustic", check_acoustic)
     monkeypatch.setattr(drv, "combined_update", check)
     mesh, z, ic, bc = _neumann_triangles_dam_break()
     run_steps(mesh, Topography(z), ic, bc, Params(scheme=scheme), 5, 0.01)
     # the implicit step's u_star is its sharp level's, not time n's
     assert alive == [{"u_star"} if scheme == "EXEX" else set()] * 5
+    read = {"u_star", "pi_star_L", "pi_star_R", "tau", "u"}
+    assert at_acoustic == ([read] * 5 if scheme == "EXEX" else [])
 
 
 @pytest.mark.parametrize("scheme", ["EXEX", "IMEX"])

@@ -451,8 +451,8 @@ def test_unreadable_mesh_file_names_the_path(tmp_path, name, data):
 @pytest.mark.parametrize("build", [meshmod.build_cartesian,
                                    meshmod.build_triangulated])
 def test_build_memory_peak(build):
-    # the build's traced peak, its result included, stays within 3.7 times
-    # the bytes of the mesh it returns
+    # the build's traced peak, its result included, stays within 2.68 times
+    # the bytes of the mesh it returns (2.56 on quads, 2.58 on triangles)
     tracemalloc.start()
     try:
         m = build(160, 160)
@@ -463,4 +463,4 @@ def test_build_memory_peak(build):
     # makes after its peak
     size = sum(getattr(m, f.name).nbytes for f in dataclasses.fields(m)
                if f.name != "face_outer")
-    assert peak <= 3.7 * size
+    assert peak <= 2.68 * size
