@@ -21,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from .exceptions import CFLError, PositivityError, SolverError
+from .exceptions import PositivityError, SolverError
 from .fields import Params, RelaxedField
 from .flux_kernels import FaceFlux, evaluate_face_fluxes
 from .mesh import map_parts
@@ -64,11 +64,6 @@ class LinearSystem:
     x0: np.ndarray      # the Krylov start: x^n, or x^n + dt rate
     iterations: int = 0          # BiCGSTAB iterations over all attempts
     residual: float = np.nan     # true ||Ax - b|| / ||b|| of the result
-
-
-# Largest acoustic CFL fraction the explicit step accepts (1/2 up to
-# roundoff).
-ACOUSTIC_CFL_LIMIT = 0.5 * (1.0 + 1e-12)
 
 
 def acoustic_cfl_fraction(mesh, tau, fluxes, dt):
@@ -115,40 +110,24 @@ def _tau_force(part, mesh, tau, dt, fluxes, tau1, force):
 def _explicit_part(part, mesh, r, dt, fluxes, out, force):
     """``explicit_acoustic`` on the cells of ``part``, into ``out``."""
     _tau_force(part, mesh, r.tau, dt, fluxes, out.tau, force)
-    cells, span = part.cells, part.span
-    tau_dt = r.tau[cells] * dt
-    np.subtract(r.u[cells], tau_dt[:, None] * force[cells],
+    cells = part.cells
+    np.subtract(r.u[cells], (r.tau[cells] * dt)[:, None] * force[cells],
                 out=out.u[cells])
-    if out.pi is not None:
-        # Pi update with the face-local impedance squared.
-        a = fluxes.a[span]
-        wa = mesh.face_length[span] * a * a * fluxes.u_star[span]
-        acc_pi = part.sums(wa) / mesh.area[cells]
-        np.subtract(r.pi[cells], tau_dt * acc_pi, out=out.pi[cells])
 
 
-def explicit_acoustic(tn: TimeLevel, mesh, dt, cfl_bound=None,
-                      update_pi=True) -> AcousticResult:
+def explicit_acoustic(tn: TimeLevel, mesh, dt) -> AcousticResult:
     """One explicit acoustic step (sharp level = n) with the time-n fluxes.
 
-    ``cfl_bound`` is a known upper bound of the acoustic CFL fraction at
-    this dt; the exact fraction is computed only when no bound is given or
-    the bound is over the limit, and a fraction over 1/2 raises CFLError.
-    With ``update_pi`` False the Pi update is skipped and the result's
-    ``relaxed.pi`` is None (the combined update does not read it).  The
-    update runs part by part (``mesh.parts``, through ``map_parts``).
+    dt must keep the acoustic CFL fraction (``acoustic_cfl_fraction``) at
+    most 1/2; the driver's ``dt_exex`` does.  It reads u_star, pi_star_L and
+    pi_star_R of ``tn.fluxes`` and tau and u of ``tn.relaxed``.  The
+    result's ``relaxed.pi`` is None: every step resets Pi to equilibrium
+    after the update, which does not read it.  The update runs part by part
+    (``mesh.parts``, through ``map_parts``).
     """
     r, fluxes = tn.relaxed, tn.fluxes
-
-    if cfl_bound is None or not cfl_bound <= ACOUSTIC_CFL_LIMIT:
-        frac = acoustic_cfl_fraction(mesh, r.tau, fluxes, dt)
-        if frac > ACOUSTIC_CFL_LIMIT:
-            raise CFLError(f"acoustic CFL violated: dt*max(tau*sigma*a) = "
-                           f"{frac:.3e} > 1/2")
-
     n = mesh.n_cells
-    out = RelaxedField(np.empty(n), np.empty((n, 2)),
-                       np.empty(n) if update_pi else None)
+    out = RelaxedField(np.empty(n), np.empty((n, 2)), None)
     force = np.empty((n, 2))
     map_parts(_explicit_part, mesh.parts, mesh, r, dt, fluxes, out, force)
     return AcousticResult(out, fluxes.u_star, force)
@@ -393,7 +372,7 @@ def _bicgstab(A, b, x, atol, max_iter):
     return max_iter
 
 
-def solve_implicit(system: LinearSystem, tol, max_iter=500):
+def solve_implicit(system: LinearSystem, tol, max_iter):
     """Solve the implicit system to the residual contract
     ||Ax - b|| <= tol * ||b||.
 

@@ -171,8 +171,8 @@ class RunReport:
     max_froude: float
     final: ConservedField
     t_final: float
-    mesh_parts: int = 1         # len(Mesh.parts) of the run's mesh
-    threads: int = 1            # the threads the parts ran on
+    mesh_parts: int             # len(Mesh.parts) of the run's mesh
+    threads: int                # the threads the parts ran on
 
 
 def time_level(state: RunState) -> TimeLevel:
@@ -196,19 +196,16 @@ def advance(state: RunState, t_remaining: float, dt_max: float) -> float:
     if p.scheme == "EXEX":
         dt = dt_exex(mesh, tn.relaxed.tau, tn.fluxes, p, dt_max)
         dt = min(dt, t_remaining)
-        # dt_exex keeps dt * D <= k_cfl / 2 for its denominator D, and
-        # dt * D bounds both the acoustic and the transport CFL fraction
-        # (tests/test_cfl_bound.py), so neither is recomputed.  The
-        # combined update does not read the acoustic step's Pi.
-        cfl_bound = 0.5 * p.k_cfl
+        # dt_exex keeps dt * D <= k_cfl / 2 <= 1/2 for its denominator D,
+        # and dt * D bounds both the acoustic and the transport CFL
+        # fraction (test_dt_bound_covers_both_cfl_fractions): this dt
+        # meets both limits, which neither kernel checks.
         # From here the step reads only u_star, pi_star_L, pi_star_R, tau
-        # and u: explicit_acoustic never needs a, since k_cfl <= 1 keeps
-        # cfl_bound <= 1/2, and it skips the Pi update.  Freeing a, theta,
-        # src and Pi lowers the peak that the acoustic step sets.
+        # and u; freeing a, theta, src and Pi lowers the peak that the
+        # acoustic step sets.
         tn.fluxes.a = tn.fluxes.theta = tn.fluxes.src = None
         tn.relaxed.pi = None
-        ac = explicit_acoustic(tn, mesh, dt, cfl_bound=cfl_bound,
-                               update_pi=False)
+        ac = explicit_acoustic(tn, mesh, dt)
     else:
         if state.next_dt is None:
             state.next_dt = dt_exex(mesh, tn.relaxed.tau, tn.fluxes, p,
@@ -239,14 +236,12 @@ def advance(state: RunState, t_remaining: float, dt_max: float) -> float:
                 f"{tried:.3e}, transport CFL fraction {frac:.3e}; "
                 f"{20 - n_pos} attempts failed on the transport CFL, "
                 f"{n_pos} on positivity")
-        cfl_bound = frac
         state.rate = ac.rate
         state.next_dt = dt_imex(mesh, ac.u_star, p, dt_max)
     # The update reads only ac: freeing the time-n record here lowers the
     # step's peak by its relaxed state and its face fluxes.
     del tn
-    state.conserved = combined_update(state.conserved, ac, mesh, dt,
-                                      cfl_bound=cfl_bound)
+    state.conserved = combined_update(state.conserved, ac, mesh, dt)
     state.t += dt
     state.step += 1
     return dt

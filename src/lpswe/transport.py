@@ -10,11 +10,11 @@ transport) is algebraically identical and is kept as a test oracle.
 import numpy as np
 
 from .acoustic import AcousticResult
-from .exceptions import CFLError, PositivityError
-from .fields import ConservedField, RelaxedField
+from .exceptions import CFLError
+from .fields import ConservedField, RelaxedField, _check_positive
 from .mesh import map_parts
 
-# Largest transport CFL fraction the update accepts (1 up to roundoff).
+# Largest transport CFL fraction ``transport`` accepts (1 up to roundoff).
 TRANSPORT_CFL_LIMIT = 1.0 + 1e-12
 
 
@@ -37,33 +37,14 @@ def _upwind(mesh, u_star, phi):
                     phi[mesh.face_owner], phi[mesh.face_outer])
 
 
-def _check_cfl(mesh, u_star, dt, cfl_bound=None):
-    """Raise CFLError when the transport CFL fraction is over the limit;
-    the exact fraction is computed unless ``cfl_bound``, a known upper
-    bound of it, is within the limit."""
-    if cfl_bound is not None and cfl_bound <= TRANSPORT_CFL_LIMIT:
-        return
-    frac = transport_cfl_fraction(mesh, u_star, dt)
-    if frac > TRANSPORT_CFL_LIMIT:
-        raise CFLError(
-            f"transport CFL violated: dt*max inflow sum = {frac:.3e} > 1")
-
-
-def _check_h_positive(h, first=0):
-    """Raise PositivityError for the lowest entry of ``h`` <= 0, whose cell
-    is ``first`` plus its index."""
-    bad = np.nonzero(h <= 0.0)[0]
-    if bad.size:
-        j = first + int(bad[0])
-        raise PositivityError(
-            f"transport produced h <= 0 in cell {j}", cell=j)
-
-
 def transport(relaxed_1: RelaxedField, u_star, mesh, dt) -> ConservedField:
     """Upwind transport of (h, hu) built from the acoustic output:
     phi^{n+1} = L_j phi_j^{n+1-} - dt sum sigma_jk u_jk phi_face, with
     L_j = 1 + dt sum sigma_jk u_jk."""
-    _check_cfl(mesh, u_star, dt)
+    frac = transport_cfl_fraction(mesh, u_star, dt)
+    if frac > TRANSPORT_CFL_LIMIT:
+        raise CFLError(
+            f"transport CFL violated: dt*max inflow sum = {frac:.3e} > 1")
     h1 = 1.0 / relaxed_1.tau
     hu1 = relaxed_1.u * h1[:, None]
 
@@ -76,23 +57,22 @@ def transport(relaxed_1: RelaxedField, u_star, mesh, dt) -> ConservedField:
         L * phi - dt * (mesh.cell_sums(lu * _upwind(mesh, u_star, phi))
                         / mesh.area)
         for phi in (h1, hu1[:, 0], hu1[:, 1]))
-    _check_h_positive(out_h)
+    _check_positive(out_h, "updated h")
     return ConservedField(out_h, np.column_stack([out_hu1, out_hu2]))
 
 
 def combined_update(c_n: ConservedField, acoustic: AcousticResult, mesh,
-                    dt, cfl_bound=None) -> ConservedField:
+                    dt) -> ConservedField:
     """Single-loop conservative update from time n:
     h^{n+1} = h^n - dt sum sigma h_face u_star;
     hu^{n+1} = hu^n - dt (sum sigma hu_face u_star + force), with the
     pressure force sum sigma Pi_face n of the acoustic step, part by part
     (``mesh.parts``, through ``map_parts``).
 
-    ``cfl_bound`` is a known upper bound of the transport CFL fraction (or
-    the fraction itself); the exact fraction is computed only when it is
-    not given or over the limit.
+    dt must keep the transport CFL fraction (``transport_cfl_fraction``)
+    at most 1; the driver chooses it so.  An h <= 0 raises PositivityError
+    at its lowest cell.
     """
-    _check_cfl(mesh, acoustic.u_star, dt, cfl_bound)
     n = mesh.n_cells
     out = ConservedField(np.empty(n), np.empty((n, 2)))
     map_parts(_update_part, mesh.parts, mesh, c_n, acoustic, dt, out)
@@ -120,4 +100,4 @@ def _update_part(part, mesh, c_n, acoustic, dt, out):
         dm = part.sums(f) / area
         np.subtract(c_n.hu[cells, d], dt * (dm + acoustic.force[cells, d]),
                     out=out.hu[cells, d])
-    _check_h_positive(h, cells.start)
+    _check_positive(h, "updated h", cells.start)

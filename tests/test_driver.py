@@ -380,6 +380,7 @@ def test_solver_error_keeps_residual_and_step():
     assert exc.value.residual > p.solver_tol
 
 
+@pytest.mark.parts
 def test_positivity_error_keeps_cell_and_step(monkeypatch):
     # in parts, cell 5 sits in a part that a pool thread runs, and the
     # calling thread's parts hold bad cells too: the lowest bad cell is
@@ -405,15 +406,17 @@ def test_positivity_error_keeps_cell_and_step(monkeypatch):
 
 
 def _reference_advance(state, dt_max):
-    """The driver's step with every CFL check exact: time-n fluxes, the
-    scheme's dt, the acoustic step (Pi updated) and the combined update,
-    no bound passed."""
+    """The driver's step with the time-n record kept whole: time-n fluxes,
+    the scheme's dt, the acoustic step and the combined update.  It
+    asserts the CFL limits that the dt must meet, with the exact
+    fractions: the acoustic one (EXEX) and the transport one."""
     mesh, p = state.mesh, state.params
     tn = time_level(state)
     if p.scheme == "EXEX":
         dt = dt_exex(mesh, tn.relaxed.tau, tn.fluxes, p, dt_max)
+        assert acoustic.acoustic_cfl_fraction(mesh, tn.relaxed.tau,
+                                              tn.fluxes, dt) <= 0.5
         ac = acoustic.explicit_acoustic(tn, mesh, dt)
-        assert ac.relaxed.pi is not None
     else:
         if state.next_dt is None:
             state.next_dt = dt_exex(mesh, tn.relaxed.tau, tn.fluxes, p,
@@ -434,6 +437,7 @@ def _reference_advance(state, dt_max):
             pytest.fail("IMEX step rejected repeatedly")
         state.rate = ac.rate
         state.next_dt = dt_imex(mesh, ac.u_star, p, dt_max)
+    assert transport_cfl_fraction(mesh, ac.u_star, dt) <= 1.0
     state.conserved = combined_update(state.conserved, ac, mesh, dt)
     return dt
 
@@ -453,15 +457,17 @@ def _neumann_triangles_dam_break():
     return (mesh, z, dam_break(mesh.centroid[:, 0], z), BoundaryCondition())
 
 
+@pytest.mark.parts
 @pytest.mark.parametrize("scheme", ["EXEX", "IMEX"])
 @pytest.mark.parametrize("case", [_periodic_quads,
                                   _neumann_triangles_dam_break])
 def test_advance_bitwise_equals_exact_check_stepper(monkeypatch, case,
                                                     scheme):
-    # advance() skips the Pi update and the CFL passes its dt bound makes
-    # redundant; h and hu must not change by a single bit.  With a small
-    # grain, advance() runs the mesh in parts on the thread pool, and h, hu
-    # and every dt still equal those of one part.
+    # advance() frees the time-n arrays its explicit step does not read;
+    # h and hu must not change by a single bit, and every dt meets both
+    # CFL limits.  With a small grain, advance() runs the mesh in parts on
+    # the thread pool, and h, hu and every dt still equal those of one
+    # part.
     mesh, z, ic, bc = case()
     p = Params(scheme=scheme)
     state = prepare_state(mesh, Topography(z), ic, bc, p)
@@ -481,6 +487,7 @@ def test_advance_bitwise_equals_exact_check_stepper(monkeypatch, case,
         assert np.array_equal(state.conserved.hu, s.conserved.hu)
 
 
+@pytest.mark.parts
 @pytest.mark.parametrize("scheme", ["EXEX", "IMEX"])
 def test_parts_on_more_threads_than_cpus(monkeypatch, scheme):
     # 16 parts on 8 threads switching every microsecond: each part writes
@@ -506,6 +513,7 @@ def test_parts_on_more_threads_than_cpus(monkeypatch, scheme):
     assert np.array_equal(state.conserved.hu, ref.conserved.hu)
 
 
+@pytest.mark.parts
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 def test_child_forked_after_the_pool_started_runs_parts(monkeypatch):
     # the child has none of the pool's threads: it starts a pool of its
@@ -572,6 +580,7 @@ def test_bicgstab_warm_start_keeps_steps_and_h(monkeypatch):
     assert warm_iterations < sum(iterations)
 
 
+@pytest.mark.parts
 @pytest.mark.parametrize("scheme", ["EXEX", "IMEX"])
 def test_update_runs_without_the_time_n_record(monkeypatch, scheme):
     # the combined update reads the acoustic result only: at its entry the

@@ -152,7 +152,7 @@ def test_report_file(tmp_path):
     from lpswe.driver import RunReport
     rep = RunReport(steps=3, wall_time=0.5, dt_history=[0.1, 0.2, 0.1],
                     mass_history=[1.0, 1.0, 1.0], max_froude=0.02,
-                    final=None, t_final=0.4)
+                    final=None, t_final=0.4, mesh_parts=1, threads=1)
     path = tmp_path / "report.txt"
     write_report(rep, path, extra={"note": "ok"})
     text = path.read_text()

@@ -299,6 +299,7 @@ def _decagon():
     return meshmod._mesh_from_cells(verts, [0, 10], np.arange(10))
 
 
+@pytest.mark.parts
 @pytest.mark.parametrize("build", [
     lambda: meshmod.build_cartesian(7, 3, (-1.3, 2.2, 0.7, 5.1)),
     lambda: meshmod.build_cartesian(24, 17),
@@ -315,6 +316,7 @@ def test_mesh_fields_equal_reference(build):
     _assert_face_order(m)
 
 
+@pytest.mark.parts
 def test_mixed_mesh_fields_equal_reference(mixed_mesh):
     m = mixed_mesh
     _assert_same_mesh(m, _reference_mesh(m.vertices, m.cell_offsets,
@@ -322,6 +324,7 @@ def test_mixed_mesh_fields_equal_reference(mixed_mesh):
     _assert_face_order(m)
 
 
+@pytest.mark.parts
 @settings(max_examples=60, deadline=None)
 @given(nx=st.integers(1, 6), ny=st.integers(1, 6),
        split=st.sampled_from([0.0, 0.5, 1.0]),
@@ -448,6 +451,7 @@ def test_unreadable_mesh_file_names_the_path(tmp_path, name, data):
         meshmod.read_mesh(path)
 
 
+@pytest.mark.parts
 @pytest.mark.parametrize("build", [meshmod.build_cartesian,
                                    meshmod.build_triangulated])
 def test_build_memory_peak(build):

@@ -82,6 +82,7 @@ def test_imex_runs_dam_break():
     assert steps > 0
 
 
+@pytest.mark.parts
 def test_positivity_error_on_forced_vacuum():
     p = Params()
     nx = 10

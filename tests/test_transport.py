@@ -7,7 +7,7 @@ from lpswe.acoustic import (explicit_acoustic, implicit_acoustic,
                             implicit_pattern)
 from lpswe.driver import (BoundaryCondition, dt_exex, prepare_state,
                           run_steps, time_level)
-from lpswe.exceptions import CFLError
+from lpswe.exceptions import CFLError, PositivityError
 from lpswe.fields import ConservedField, Params, Topography
 from lpswe.flux_kernels import evaluate_face_fluxes
 from lpswe.scenarios import bump_topography, dam_break, get_scenario
@@ -157,6 +157,37 @@ def test_pressure_force_summed_once_matches_single_sum(case, scheme):
     h, hu = _single_sum_update(state.conserved, ac, fl, mesh, dt)
     assert np.array_equal(out.h, h)
     assert np.max(np.abs(out.hu - hu)) <= 1e-14 * np.max(np.abs(hu))
+
+
+def _oversize_update_error():
+    # the explicit step at the EXEX dt, the update at 30 times that dt:
+    # over the transport CFL limit, the update is what fails
+    mesh, _, ic, bc = _random_periodic_quads()
+    p = Params()
+    state = prepare_state(mesh, Topography(np.zeros(mesh.n_cells)), ic, bc,
+                          p)
+    mesh = state.mesh
+    tn = time_level(state)
+    dt = dt_exex(mesh, tn.relaxed.tau, tn.fluxes, p, 1.0)
+    ac = explicit_acoustic(tn, mesh, dt)
+    assert transport_cfl_fraction(mesh, ac.u_star, 30 * dt) > 1.0
+    with pytest.raises(PositivityError) as exc:
+        combined_update(state.conserved, ac, mesh, 30 * dt)
+    return len(mesh.parts), exc.value
+
+
+@pytest.mark.parts
+def test_oversize_dt_update_positivity_error(monkeypatch):
+    # no CFL check in the update: an oversize dt meets the positivity
+    # check, which names the lowest bad cell in one part and in several
+    n_parts, err = _oversize_update_error()
+    assert n_parts == 1
+    assert err.cell == 77
+    assert str(err).startswith("updated h non-positive in cell 77 ")
+    monkeypatch.setattr(meshmod, "PART_FACES", 60)
+    n_parts, in_parts = _oversize_update_error()
+    assert n_parts > 1
+    assert (str(in_parts), in_parts.cell) == (str(err), err.cell)
 
 
 @pytest.mark.parametrize("scheme", ["EXEX", "IMEX"])
